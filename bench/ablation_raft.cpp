@@ -6,48 +6,42 @@
 //   partition       minority partitions around the leader, then healed
 //   rolling_restart every Raft node crashed and revived in sequence, with
 //                   an OSN crash/replay overlapping the churn
-// and asserts the safety properties on every run:
-//   1. prefix-consistent block sequences across OSNs (identical once every
-//      crashed OSN has replayed) with zero replay hash mismatches;
-//   2. every committed ledger's hash chain verifies;
-//   3. no transaction commits twice;
-//   4. every client submission reaches exactly one terminal state;
-//   5. Raft log matching over the committed prefix across cluster nodes,
-//      with no submission stuck in flight (TTC markers applied exactly once
-//      under leader change — otherwise block cuts diverge and (1) fails).
-// On top of the chaos grid it checks the backend-equivalence contract
-// (fault-free Raft byte-identical to mq: metrics JSON + ledger fingerprint)
-// and rerun determinism (every chaos cell run twice must match byte for
-// byte).  Exits non-zero on any violation, so this is the CI chaos gate for
-// the ordering backend; the JSON is byte-identical at any --threads value.
+// Every run goes through harness::run_once, so core::check_invariants
+// asserts the safety properties — prefix-consistent OSN block sequences
+// with zero replay hash mismatches, verified hash chains, no double commit,
+// exactly one terminal state per submission, and Raft log matching with no
+// submission stuck in flight (TTC markers applied exactly once under leader
+// change).  On top, each chaos run must leave every OSN alive and must have
+// exercised a failover.  The gate also checks the backend-equivalence
+// contract (fault-free Raft byte-identical to mq: metrics JSON, ledger
+// fingerprints) and rerun determinism (every chaos cell run twice must
+// match artifact for artifact).  Exits non-zero on any violation, so this
+// is the CI chaos gate for the ordering backend; the JSON is byte-identical
+// at any --threads value.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "core/fabric_network.h"
+#include "harness/experiment.h"
 #include "harness/report.h"
-#include "harness/workload.h"
+#include "harness/sweep.h"
 
 namespace {
 
 using namespace fl;
 
 constexpr std::uint64_t kSeeds[] = {1, 7, 42, 1234};
-constexpr std::uint64_t kTotalTxs = 600;
 constexpr double kTpsPerClient = 50.0;
 
-core::NetworkConfig base_config(std::uint64_t seed,
-                                orderer::OrderingBackendKind backend) {
+core::NetworkConfig base_config(orderer::OrderingBackendKind backend) {
     core::NetworkConfig cfg;
     cfg.orgs = 4;
     cfg.osns = 3;
     cfg.clients = 3;
-    cfg.seed = seed;
     cfg.endorsement_k = 2;
     cfg.ordering_backend = backend;
     cfg.channel.priority_enabled = true;
@@ -91,105 +85,46 @@ std::vector<fault::ScheduledFault> mix_schedule(const std::string& mix) {
     return s;
 }
 
-struct RunResult {
-    std::string metrics_json;
-    std::uint64_t chain_fingerprint = 0;
-    std::uint64_t committed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t leader_changes = 0;
-    std::uint64_t elections = 0;
-    std::uint64_t term = 0;
-    std::uint64_t resubmissions = 0;
-    std::uint64_t dup_commits_skipped = 0;
-    std::vector<std::string> violations;
-};
-
-RunResult run_once(const core::NetworkConfig& cfg, bool chaos_checks) {
-    core::FabricNetwork net(cfg);
-    core::MetricsCollector metrics;
-    std::uint64_t records = 0;
-    net.set_tx_sink([&](const client::TxRecord& r) {
-        metrics.record(r);
-        ++records;
-    });
-    harness::Workload workload;
-    for (std::size_t c = 0; c < net.clients().size(); ++c) {
-        harness::LoadSpec load;
-        load.client_index = c;
-        load.tps = kTpsPerClient;
-        load.generate = harness::priority_class_mix({1, 2, 1});
-        workload.loads.push_back(std::move(load));
-    }
-    workload.distribute_total(kTotalTxs);
-    harness::WorkloadDriver driver(net, std::move(workload), Rng(cfg.seed));
-    driver.start();
-    net.run();
-
-    RunResult out;
-    std::ostringstream os;
-    core::write_metrics_json(os, metrics);
-    out.metrics_json = os.str();
-    out.chain_fingerprint = net.peers().front()->chain().chain_fingerprint();
-    out.committed = metrics.committed_valid() + metrics.committed_invalid();
-    out.failed = metrics.client_failures();
-
-    auto fail = [&out](const std::string& what) { out.violations.push_back(what); };
-
-    // (1) ordering-service agreement + replay integrity.
-    if (!net.osn_blocks_prefix_consistent()) fail("osn_block_divergence");
-    bool all_alive = true;
-    for (const auto& osn : net.osns()) {
-        if (osn->replay_hash_mismatches() != 0) fail("replay_hash_mismatch");
-        all_alive = all_alive && osn->alive();
-    }
-    if (!all_alive) fail("osn_left_dead");
-    if (all_alive && !net.osn_blocks_identical()) fail("osn_block_divergence_final");
-
-    // (2) verified chains.
-    for (const auto& peer : net.peers()) {
-        if (!peer->chain().verify_chain()) fail("broken_hash_chain");
-        if (peer->chain().height() == 0) fail("empty_chain");
-    }
-
-    // (3) no double commit.
-    const ledger::BlockStore& chain = net.peers().front()->chain();
-    std::set<TxId> committed_ids;
-    for (std::size_t b = 0; b < chain.height(); ++b) {
-        const ledger::Block& block = chain.at(b);
-        for (std::size_t i = 0; i < block.transactions.size(); ++i) {
-            if (block.validation_codes[i] == TxValidationCode::kValid &&
-                !committed_ids.insert(block.transactions[i].tx_id()).second) {
-                fail("double_commit");
-            }
+harness::ExperimentSpec raft_spec(orderer::OrderingBackendKind backend,
+                                  std::uint64_t total_txs) {
+    harness::ExperimentSpec spec;
+    spec.config = base_config(backend);
+    spec.make_workload = [clients = spec.config.clients, total_txs] {
+        harness::Workload workload;
+        for (std::size_t c = 0; c < clients; ++c) {
+            harness::LoadSpec load;
+            load.client_index = c;
+            load.tps = kTpsPerClient;
+            load.generate = harness::priority_class_mix({1, 2, 1});
+            workload.loads.push_back(std::move(load));
         }
-    }
-
-    // (4) exactly one terminal state per submission.
-    std::uint64_t submitted = 0;
-    for (const auto& client : net.clients()) {
-        if (client->pending() != 0) fail("client_left_pending");
-        if (client->submitted() !=
-            client->completed() + client->client_side_failures()) {
-            fail("terminal_state_accounting");
+        workload.distribute_total(total_txs);
+        return workload;
+    };
+    spec.run_probe = [](core::FabricNetwork& net, std::map<std::string, double>& extra) {
+        for (const auto& osn : net.osns()) {
+            if (!osn->alive()) extra["osns_dead"] += 1.0;
         }
-        submitted += client->submitted();
-    }
-    if (metrics.total() != submitted || records != submitted) {
-        fail("sink_accounting");
-    }
+        if (raft::RaftOrderingBackend* rb = net.raft_backend()) {
+            extra["leader_changes"] = static_cast<double>(rb->leader_changes());
+            extra["elections"] = static_cast<double>(rb->elections_started());
+            extra["term"] = static_cast<double>(rb->current_term());
+            extra["resubmissions"] = static_cast<double>(rb->leader_resubmissions());
+            extra["dup_commits_skipped"] =
+                static_cast<double>(rb->duplicate_commits_skipped());
+        }
+    };
+    return spec;
+}
 
-    // (5) Raft safety.
-    if (raft::RaftOrderingBackend* rb = net.raft_backend()) {
-        out.leader_changes = rb->leader_changes();
-        out.elections = rb->elections_started();
-        out.term = rb->current_term();
-        out.resubmissions = rb->leader_resubmissions();
-        out.dup_commits_skipped = rb->duplicate_commits_skipped();
-        if (!rb->committed_prefixes_consistent()) fail("raft_log_matching");
-        if (rb->pending_submissions() != 0) fail("raft_submission_stuck");
-        if (chaos_checks && rb->leader_changes() == 0) fail("no_failover_exercised");
-    }
-    return out;
+/// A probe counter as an integer (0 when the probe never set it).
+std::uint64_t counter(const harness::RunResult& r, const char* key) {
+    const auto it = r.extra.find(key);
+    return it == r.extra.end() ? 0 : static_cast<std::uint64_t>(it->second);
+}
+
+std::uint64_t committed(const harness::RunResult& r) {
+    return r.metrics.committed_valid() + r.metrics.committed_invalid();
 }
 
 }  // namespace
@@ -197,16 +132,9 @@ RunResult run_once(const core::NetworkConfig& cfg, bool chaos_checks) {
 int main(int argc, char** argv) {
     using namespace fl;
 
-    unsigned threads = 0;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--threads" && i + 1 < argc) {
-            threads = static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        }
-    }
+    const harness::SweepCli cli =
+        harness::parse_sweep_cli(argc, argv, /*default_seed=*/0, "ablation_raft");
+    const std::uint64_t total_txs = cli.txs_or(600);
 
     harness::print_banner(
         std::cout, "Ablation A9: Raft leader-failover safety gate",
@@ -223,7 +151,7 @@ int main(int argc, char** argv) {
     struct ChaosCell {
         std::string mix;
         std::uint64_t seed = 0;
-        RunResult first, second;
+        harness::RunResult first, second;
     };
     std::vector<ChaosCell> cells;
     for (const std::string& mix : mixes) {
@@ -231,101 +159,96 @@ int main(int argc, char** argv) {
     }
     struct EquivCell {
         std::uint64_t seed = 0;
-        RunResult mq, rf;
+        harness::RunResult mq, rf;
     };
     std::vector<EquivCell> equiv;
     for (std::uint64_t seed : kSeeds) equiv.push_back({seed, {}, {}});
 
     const std::size_t jobs = cells.size() + equiv.size();
-    ThreadPool pool(threads);
+    ThreadPool pool(cli.threads);
     parallel_for_each(pool, jobs, [&](std::size_t j) {
         if (j < cells.size()) {
             ChaosCell& cell = cells[j];
-            auto cfg = base_config(cell.seed, orderer::OrderingBackendKind::kRaft);
-            cfg.faults.schedule = mix_schedule(cell.mix);
-            cell.first = run_once(cfg, /*chaos_checks=*/true);
-            cell.second = run_once(cfg, /*chaos_checks=*/true);
+            harness::ExperimentSpec spec =
+                raft_spec(orderer::OrderingBackendKind::kRaft, total_txs);
+            spec.config.faults.schedule = mix_schedule(cell.mix);
+            cell.first = harness::run_once(spec, cell.seed);
+            cell.second = harness::run_once(spec, cell.seed);
         } else {
             EquivCell& cell = equiv[j - cells.size()];
-            cell.mq = run_once(
-                base_config(cell.seed, orderer::OrderingBackendKind::kMq), false);
-            cell.rf = run_once(
-                base_config(cell.seed, orderer::OrderingBackendKind::kRaft), false);
+            cell.mq = harness::run_once(
+                raft_spec(orderer::OrderingBackendKind::kMq, total_txs), cell.seed);
+            cell.rf = harness::run_once(
+                raft_spec(orderer::OrderingBackendKind::kRaft, total_txs), cell.seed);
         }
     });
 
+    // The table and the deterministic JSON (the CI 1-vs-4-thread byte
+    // comparison) carry the same per-cell values.
+    const char* const kCounters[] = {"elections", "leader_changes", "term",
+                                     "resubmissions", "dup_commits_skipped"};
     bool all_ok = true;
     harness::Table table({"mix", "seed", "committed", "failed", "elections",
                           "leader changes", "term", "resubmits", "dup skips",
                           "verdict"});
-    for (ChaosCell& cell : cells) {
-        if (cell.first.metrics_json != cell.second.metrics_json ||
-            cell.first.chain_fingerprint != cell.second.chain_fingerprint) {
-            cell.first.violations.push_back("rerun_divergence");
+    std::ostringstream json;
+    json << "{\"bench\":\"ablation_raft\",\"total_txs\":" << total_txs
+         << ",\"cells\":[";
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const harness::RunResult& r = cells[i].first;
+        // Safety from the shared checker (a rerun reporting different
+        // violations is a rerun divergence), then this scenario's
+        // expectations: every crashed OSN restarted, and the mix really
+        // forced a failover.
+        std::vector<std::string> violations = r.artifacts.violations;
+        if (counter(r, "osns_dead") != 0) violations.push_back("osn_left_dead");
+        if (counter(r, "leader_changes") == 0) violations.push_back("no_failover_exercised");
+        if (!harness::diff(r.artifacts, cells[i].second.artifacts).empty()) {
+            violations.push_back("rerun_divergence");
         }
-        const bool ok = cell.first.violations.empty() &&
-                        cell.second.violations.empty();
-        all_ok = all_ok && ok;
-        std::string verdict = "OK";
-        if (!ok) {
-            verdict = "VIOLATED:";
-            for (const std::string& v : cell.first.violations) verdict += " " + v;
+        all_ok = all_ok && violations.empty();
+        std::string verdict = violations.empty() ? "OK" : "VIOLATED:";
+        for (const std::string& v : violations) verdict += " " + v;
+
+        std::vector<std::string> row = {cells[i].mix, std::to_string(cells[i].seed),
+                                        std::to_string(committed(r)),
+                                        std::to_string(r.metrics.client_failures())};
+        json << (i ? "," : "") << "{\"mix\":\"" << cells[i].mix
+             << "\",\"seed\":" << cells[i].seed << ",\"committed\":" << committed(r)
+             << ",\"failed\":" << r.metrics.client_failures();
+        for (const char* key : kCounters) {
+            row.push_back(std::to_string(counter(r, key)));
+            json << ",\"" << key << "\":" << counter(r, key);
         }
-        table.add_row({cell.mix, std::to_string(cell.seed),
-                       std::to_string(cell.first.committed),
-                       std::to_string(cell.first.failed),
-                       std::to_string(cell.first.elections),
-                       std::to_string(cell.first.leader_changes),
-                       std::to_string(cell.first.term),
-                       std::to_string(cell.first.resubmissions),
-                       std::to_string(cell.first.dup_commits_skipped), verdict});
+        row.push_back(verdict);
+        table.add_row(row);
+        json << ",\"chain_fingerprint\":" << r.artifacts.chain_fingerprint
+             << ",\"violations\":" << violations.size() << "}";
     }
     table.print(std::cout);
 
+    // Fault-free Raft must match mq artifact for artifact, except the event
+    // count: the Raft cluster runs its own consensus events.
     harness::Table eq_table({"seed", "mq committed", "raft committed", "identical"});
-    for (const EquivCell& cell : equiv) {
-        const bool identical =
-            cell.mq.metrics_json == cell.rf.metrics_json &&
-            cell.mq.chain_fingerprint == cell.rf.chain_fingerprint &&
-            cell.mq.violations.empty() && cell.rf.violations.empty() &&
-            cell.rf.elections == 0;
-        all_ok = all_ok && identical;
-        eq_table.add_row({std::to_string(cell.seed),
-                          std::to_string(cell.mq.committed),
-                          std::to_string(cell.rf.committed),
-                          identical ? "yes" : "NO"});
-    }
-    std::cout << "\nBackend equivalence (fault-free, byte-level):\n";
-    eq_table.print(std::cout);
-
-    // Deterministic JSON for the CI 1-vs-4-thread byte comparison.
-    std::ostringstream json;
-    json << "{\"bench\":\"ablation_raft\",\"total_txs\":" << kTotalTxs
-         << ",\"cells\":[";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const ChaosCell& cell = cells[i];
-        json << (i ? "," : "") << "{\"mix\":\"" << cell.mix
-             << "\",\"seed\":" << cell.seed
-             << ",\"committed\":" << cell.first.committed
-             << ",\"failed\":" << cell.first.failed
-             << ",\"elections\":" << cell.first.elections
-             << ",\"leader_changes\":" << cell.first.leader_changes
-             << ",\"term\":" << cell.first.term
-             << ",\"resubmissions\":" << cell.first.resubmissions
-             << ",\"dup_commits_skipped\":" << cell.first.dup_commits_skipped
-             << ",\"chain_fingerprint\":" << cell.first.chain_fingerprint
-             << ",\"violations\":" << cell.first.violations.size() << "}";
-    }
     json << "],\"equivalence\":[";
     for (std::size_t i = 0; i < equiv.size(); ++i) {
-        const bool identical = equiv[i].mq.metrics_json == equiv[i].rf.metrics_json;
-        json << (i ? "," : "") << "{\"seed\":" << equiv[i].seed
+        const EquivCell& cell = equiv[i];
+        std::vector<std::string> d = harness::diff(cell.mq.artifacts, cell.rf.artifacts);
+        std::erase(d, std::string("events_executed"));
+        const bool identical = d.empty() && cell.mq.artifacts.violations.empty() &&
+                               counter(cell.rf, "elections") == 0;
+        all_ok = all_ok && identical;
+        eq_table.add_row({std::to_string(cell.seed), std::to_string(committed(cell.mq)),
+                          std::to_string(committed(cell.rf)), identical ? "yes" : "NO"});
+        json << (i ? "," : "") << "{\"seed\":" << cell.seed
              << ",\"identical\":" << (identical ? "true" : "false") << "}";
     }
     json << "]}\n";
+    std::cout << "\nBackend equivalence (fault-free, byte-level):\n";
+    eq_table.print(std::cout);
     std::cout << "\n" << json.str();
-    if (!json_path.empty()) {
-        std::ofstream f(json_path);
+    if (cli.json_enabled) {
+        std::ofstream f(cli.json_path);
         f << json.str();
     }
 

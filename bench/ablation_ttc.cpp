@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
         const auto& r = results[s].result;
         const double blocks = r.blocks_per_run.mean();
         table.add_row({std::to_string(skews_ms[s]),
-                       r.all_consistent ? "yes" : "NO (diverged!)",
+                       r.all_consistent() ? "yes" : "NO (diverged!)",
                        harness::fmt(blocks, 0),
                        harness::fmt(100.0 * r.extra_mean("timeout_cut") / blocks, 1),
                        harness::fmt(r.extra_mean("ttcs_sent") / blocks, 2),

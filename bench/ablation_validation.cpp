@@ -25,21 +25,11 @@ using namespace fl;
 
 constexpr std::uint32_t kHotAccounts = 6;
 
-/// Folds a 64-bit fingerprint into two exactly-representable doubles (the
-/// extra map aggregates doubles; 32-bit halves summed over a handful of runs
-/// stay far below 2^53, so equal sums <=> equal per-run fingerprints in
-/// practice).
-void fold_hash(std::map<std::string, double>& extra, const std::string& name,
-               std::uint64_t h) {
-    extra[name + "_lo"] += static_cast<double>(h & 0xffffffffULL);
-    extra[name + "_hi"] += static_cast<double>(h >> 32);
-}
-
 void equivalence_probe(core::FabricNetwork& net,
                        std::map<std::string, double>& extra) {
     const peer::Peer& p = *net.peers().front();
-    fold_hash(extra, "state_fp", p.state().fingerprint());
-    fold_hash(extra, "chain_fp", p.chain().chain_fingerprint());
+    bench::fold_hash(extra, "state_fp", p.state().fingerprint());
+    bench::fold_hash(extra, "chain_fp", p.chain().chain_fingerprint());
     // FNV-1a over every verdict in block order — the bitmask the paper's
     // validator must reproduce exactly.
     std::uint64_t verdicts = 1469598103934665603ULL;
@@ -50,7 +40,7 @@ void equivalence_probe(core::FabricNetwork& net,
                        1099511628211ULL;
         }
     }
-    fold_hash(extra, "verdict_fp", verdicts);
+    bench::fold_hash(extra, "verdict_fp", verdicts);
     extra["valid"] += static_cast<double>(p.txs_valid());
     extra["invalid"] += static_cast<double>(p.txs_invalid());
     extra["priority_wins"] += static_cast<double>(p.mvcc_priority_wins());

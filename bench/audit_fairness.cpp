@@ -128,7 +128,6 @@ int main(int argc, char** argv) {
         gates.push_back({point, check, value, bound, pass});
     };
     for (const auto& point : results) {
-        print_consistency(point.result);
         for (const auto& audit : point.result.audit_reports) {
             const auto& label = point.label;
             const double inversions =

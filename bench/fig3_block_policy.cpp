@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
                           "system avg (rel)", "throughput (tps)"});
     for (std::size_t i = 1; i < results.size(); ++i) {
         const auto& r = results[i].result;
-        print_consistency(r);
         table.add_row({policies[i - 1], harness::fmt(r.priority_latency(0) / base, 3),
                        harness::fmt(r.priority_latency(1) / base, 3),
                        harness::fmt(r.priority_latency(2) / base, 3),

@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < peer_counts.size(); ++s) {
         const auto& baseline = results[2 * s].result;
         const auto& with = results[2 * s + 1].result;
-        print_consistency(with);
 
         const double base = baseline.overall_latency.mean();
         if (peer_counts[s] == 4) four_peer_base = base;

@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < rates.size(); ++s) {
         const auto& baseline = results[2 * s].result;
         const auto& with = results[2 * s + 1].result;
-        print_consistency(with);
         const double base = baseline.overall_latency.mean();
         table.add_row({harness::fmt(rates[s], 0),
                        harness::fmt(with.priority_latency(0) / base, 3),

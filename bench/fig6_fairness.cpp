@@ -99,7 +99,6 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < c1_rates.size(); ++s) {
         const auto& noprio = results[1 + 2 * s].result;
         const auto& fair = results[2 + 2 * s].result;
-        print_consistency(fair);
         table.add_row({harness::fmt(c1_rates[s], 0),
                        harness::fmt(noprio.client_latency(0) / base, 3),
                        harness::fmt(noprio.client_latency(1) / base, 3),

@@ -18,7 +18,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <iostream>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -85,12 +88,32 @@ inline harness::ExperimentPoint paper_point(
     return point;
 }
 
+/// A 64-bit fingerprint as 16 lowercase hex digits (JSON-safe, unlike a
+/// double).
+inline std::string hex64(std::uint64_t v) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+    return buf;
+}
+
+/// Folds a 64-bit fingerprint into two exactly-representable doubles of a
+/// probe's `extra` map (which aggregates doubles; 32-bit halves summed over
+/// a handful of runs stay far below 2^53, so equal sums <=> equal per-run
+/// fingerprints in practice).
+inline void fold_hash(std::map<std::string, double>& extra,
+                      const std::string& name, std::uint64_t h) {
+    extra[name + "_lo"] += static_cast<double>(h & 0xffffffffULL);
+    extra[name + "_hi"] += static_cast<double>(h >> 32);
+}
+
 /// Runs the sweep with wall-clock timing and a stdout footer; the timing
 /// never enters the JSON (it would break byte-identity across --threads).
 /// When --trace/--timeseries were given, instruments the selected point and
 /// writes the capture files after the sweep drains.  --audit/--audit-window
 /// attach the fairness-audit accountant to every point (reports land in the
-/// per-point JSON as "audit_runs").
+/// per-point JSON as "audit_runs").  Every bench is a safety gate: when any
+/// run violates a core::check_invariants invariant, the violation names are
+/// printed and the process exits 1.
 inline std::vector<harness::PointResult> run_timed_sweep(
     harness::SweepSpec& sweep, const harness::SweepCli& cli) {
     harness::TraceCapture capture;
@@ -106,14 +129,16 @@ inline std::vector<harness::PointResult> run_timed_sweep(
                            : std::max(1u, std::thread::hardware_concurrency());
     harness::print_sweep_footer(std::cout, results.size(), threads, wall);
     harness::emit_trace_files(cli, capture, std::cout);
-    return results;
-}
-
-inline void print_consistency(const harness::AggregateResult& r) {
-    if (!r.all_consistent) {
-        std::cout << "WARNING: consistency check failed (peer chains / OSN "
-                     "blocks diverged)\n";
+    bool safe = true;
+    for (const auto& point : results) {
+        if (point.result.violations.empty()) continue;
+        safe = false;
+        std::cout << "INVARIANT VIOLATION (" << point.label << "):";
+        for (const std::string& v : point.result.violations) std::cout << " " << v;
+        std::cout << "\n";
     }
+    if (!safe) std::exit(1);
+    return results;
 }
 
 }  // namespace fl::bench

@@ -7,13 +7,13 @@
 //   serial    — channels advance in index order within each sync window;
 //   parallel  — one pool worker per channel inside each window (--threads).
 //
-// Per point it compares every per-channel artifact byte for byte: the
-// metrics JSON, the trace JSONL, the chain/state fingerprints, and the
-// cross-channel meter series.  Any divergence prints CHANNEL EQUIVALENCE
-// VIOLATION and exits 1 — channel sharding is an engine optimization, never
-// an observable (DESIGN.md §16).  The 1-channel point is additionally
-// compared against the legacy single-network harness (harness::run_once):
-// same metrics JSON, same (untagged) trace bytes, same fingerprints.
+// Per point, harness::diff compares every channel's artifacts (metrics
+// JSON, trace JSONL, chain/state fingerprints, counts, invariant
+// violations) and the cross-channel meter series is compared too.  Any
+// divergence or violation prints CHANNEL EQUIVALENCE VIOLATION and exits 1
+// — channel sharding is an engine optimization, never an observable
+// (DESIGN.md §16).  The 1-channel point is additionally diffed against
+// harness::run_once on the same config and seed.
 //
 // Wall-clock timings and the speedup column are host-dependent and stay on
 // stdout only; the BENCH_*.json bytes depend on --seed alone.
@@ -29,35 +29,13 @@
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "harness/channels.h"
-#include "obs/trace.h"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string hex64(std::uint64_t v) {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-struct EngineRun {
-    fl::harness::MultiChannelResult result;
-    double wall = 0.0;  ///< host-dependent; stdout only, never JSON
-};
-
-EngineRun run_engine(const fl::harness::MultiChannelSpec& spec,
-                     fl::ThreadPool* pool) {
-    EngineRun er;
-    const auto started = Clock::now();
-    er.result = fl::harness::run_multi_channel(spec, pool);
-    er.wall = std::chrono::duration<double>(Clock::now() - started).count();
-    return er;
-}
-
-/// Byte/field comparison of two engine results; returns human-readable
-/// divergence descriptions (empty = equivalent).
+/// Per-channel artifact diffs (plus invariant violations) and the meter
+/// comparison of two engine results; empty = equivalent.
 std::vector<std::string> diff_runs(const fl::harness::MultiChannelResult& a,
                                    const fl::harness::MultiChannelResult& b) {
     std::vector<std::string> diffs;
@@ -66,78 +44,18 @@ std::vector<std::string> diff_runs(const fl::harness::MultiChannelResult& a,
         return diffs;
     }
     for (std::size_t i = 0; i < a.channels.size(); ++i) {
-        const auto& ca = a.channels[i];
-        const auto& cb = b.channels[i];
-        const std::string tag = "ch" + std::to_string(ca.id.value());
-        if (ca.metrics_json != cb.metrics_json) diffs.push_back(tag + " metrics JSON");
-        if (ca.trace_jsonl != cb.trace_jsonl) diffs.push_back(tag + " trace JSONL");
-        if (ca.chain_fingerprint != cb.chain_fingerprint) {
-            diffs.push_back(tag + " chain fingerprint");
+        const std::string tag = "ch" + std::to_string(a.channels[i].id.value());
+        for (const std::string& field :
+             fl::harness::diff(a.channels[i].artifacts, b.channels[i].artifacts)) {
+            diffs.push_back(tag + " " + field);
         }
-        if (ca.state_fingerprint != cb.state_fingerprint) {
-            diffs.push_back(tag + " state fingerprint");
+        for (const std::string& v : a.channels[i].artifacts.violations) {
+            diffs.push_back(tag + " invariant " + v);
         }
-        if (ca.blocks != cb.blocks) diffs.push_back(tag + " block height");
-        if (!ca.consistent || !cb.consistent) diffs.push_back(tag + " inconsistent");
     }
     if (a.events_executed != b.events_executed) diffs.push_back("event count");
     if (a.windows != b.windows) diffs.push_back("window count");
-    if (a.meter.windows.size() != b.meter.windows.size()) {
-        diffs.push_back("meter window count");
-    } else {
-        for (std::size_t w = 0; w < a.meter.windows.size(); ++w) {
-            const auto& wa = a.meter.windows[w];
-            const auto& wb = b.meter.windows[w];
-            if (wa.end != wb.end ||
-                wa.committed_per_channel != wb.committed_per_channel ||
-                wa.endorse_cpu_per_org != wb.endorse_cpu_per_org ||
-                wa.completed_per_client != wb.completed_per_client ||
-                wa.channel_jain != wb.channel_jain ||
-                wa.client_jain != wb.client_jain) {
-                diffs.push_back("meter window " + std::to_string(w));
-                break;
-            }
-        }
-    }
-    if (a.meter.committed_per_channel != b.meter.committed_per_channel ||
-        a.meter.completed_per_client != b.meter.completed_per_client ||
-        a.meter.endorse_cpu_per_org != b.meter.endorse_cpu_per_org) {
-        diffs.push_back("meter cumulative totals");
-    }
-    return diffs;
-}
-
-/// The 1-channel legacy gate: the sharded engine's only channel must emit
-/// the exact bytes of today's single-network harness on the same seed.
-std::vector<std::string> diff_vs_legacy(
-    const fl::harness::ChannelRunResult& ch, const fl::core::NetworkConfig& cfg,
-    const std::function<fl::harness::Workload()>& make_workload,
-    std::uint64_t seed) {
-    fl::harness::ExperimentSpec spec;
-    spec.config = cfg;
-    spec.make_workload = make_workload;
-    fl::obs::TraceSink sink;
-    spec.instrument = [&sink](fl::core::FabricNetwork& net, unsigned) {
-        net.set_trace_sink(&sink);
-    };
-    std::uint64_t chain_fp = 0;
-    std::uint64_t state_fp = 0;
-    spec.run_probe = [&](fl::core::FabricNetwork& net,
-                         std::map<std::string, double>&) {
-        chain_fp = net.peers().front()->chain().chain_fingerprint();
-        state_fp = net.peers().front()->state().fingerprint();
-    };
-    const fl::harness::RunResult legacy = fl::harness::run_once(spec, seed);
-
-    std::vector<std::string> diffs;
-    std::ostringstream metrics_os;
-    fl::core::write_metrics_json(metrics_os, legacy.metrics, nullptr);
-    if (ch.metrics_json != metrics_os.str()) diffs.push_back("legacy metrics JSON");
-    std::ostringstream trace_os;
-    sink.write_jsonl(trace_os);
-    if (ch.trace_jsonl != trace_os.str()) diffs.push_back("legacy trace JSONL");
-    if (ch.chain_fingerprint != chain_fp) diffs.push_back("legacy chain fingerprint");
-    if (ch.state_fingerprint != state_fp) diffs.push_back("legacy state fingerprint");
+    if (!(a.meter == b.meter)) diffs.push_back("cross-channel meter series");
     return diffs;
 }
 
@@ -198,18 +116,22 @@ int main(int argc, char** argv) {
         spec.seed = cli.base_seed;
         spec.capture_trace = true;
 
-        const EngineRun serial = run_engine(spec, nullptr);
-        const EngineRun parallel = run_engine(spec, &pool);
+        const fl::harness::MultiChannelResult serial =
+            fl::harness::run_multi_channel(spec, nullptr);
+        const fl::harness::MultiChannelResult parallel =
+            fl::harness::run_multi_channel(spec, &pool);
 
-        std::vector<std::string> diffs =
-            diff_runs(serial.result, parallel.result);
+        std::vector<std::string> diffs = diff_runs(serial, parallel);
         if (n == 1) {
-            const auto make_one = [&spec] { return spec.make_workload(0); };
-            const auto legacy_diffs =
-                diff_vs_legacy(parallel.result.channels[0],
-                               spec.config.channel_config(0), make_one,
-                               spec.seed);
-            diffs.insert(diffs.end(), legacy_diffs.begin(), legacy_diffs.end());
+            fl::harness::ExperimentSpec legacy;
+            legacy.config = spec.config.channel_config(0);
+            legacy.make_workload = [&spec] { return spec.make_workload(0); };
+            legacy.capture_trace = true;
+            for (const std::string& field : fl::harness::diff(
+                     parallel.channels[0].artifacts,
+                     fl::harness::run_once(legacy, spec.seed).artifacts)) {
+                diffs.push_back("legacy " + field);
+            }
         }
         for (const std::string& d : diffs) {
             std::cout << "DIVERGENCE (" << n << " channels): " << d << "\n";
@@ -217,25 +139,27 @@ int main(int argc, char** argv) {
         const bool ok = diffs.empty();
         all_ok = all_ok && ok;
 
-        const auto& meter = parallel.result.meter;
+        const auto& meter = parallel.meter;
         std::uint64_t committed = 0;
         for (const std::uint64_t c : meter.committed_per_channel) committed += c;
 
         table.add_row(
             {std::to_string(n), std::to_string(committed),
-             std::to_string(parallel.result.windows),
+             std::to_string(parallel.windows),
              fl::harness::fmt(meter.channel_jain_overall(), 3),
              fl::harness::fmt(meter.client_jain_overall(), 3),
-             fl::harness::fmt(serial.wall, 2), fl::harness::fmt(parallel.wall, 2),
-             fl::harness::fmt(parallel.wall > 0.0 ? serial.wall / parallel.wall
-                                                  : 0.0,
+             fl::harness::fmt(serial.drain_wall_s, 2),
+             fl::harness::fmt(parallel.drain_wall_s, 2),
+             fl::harness::fmt(parallel.drain_wall_s > 0.0
+                                  ? serial.drain_wall_s / parallel.drain_wall_s
+                                  : 0.0,
                               2),
              ok ? "OK" : "MISMATCH"});
 
         jw.begin_object();
         jw.field("channels", static_cast<std::uint64_t>(n));
-        jw.field("windows", parallel.result.windows);
-        jw.field("events", parallel.result.events_executed);
+        jw.field("windows", parallel.windows);
+        jw.field("events", parallel.events_executed);
         jw.field("committed_total", committed);
         jw.key("committed_per_channel");
         jw.begin_array();
@@ -248,8 +172,8 @@ int main(int argc, char** argv) {
         jw.field("client_jain_min", meter.client_jain_min);
         jw.key("chain_fingerprints");
         jw.begin_array();
-        for (const auto& ch : parallel.result.channels) {
-            jw.value(hex64(ch.chain_fingerprint));
+        for (const auto& ch : parallel.channels) {
+            jw.value(fl::bench::hex64(ch.artifacts.chain_fingerprint));
         }
         jw.end_array();
         jw.field("equal", ok);
@@ -262,8 +186,8 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     const double wall =
         std::chrono::duration<double>(Clock::now() - started).count();
-    std::cout << "\n*wall-clock columns are host-dependent (stdout only, never "
-                 "JSON).  Pool: "
+    std::cout << "\n*wall-clock columns time the drain only and are "
+                 "host-dependent (stdout only, never JSON).  Pool: "
               << pool_size << " worker(s).\n";
     fl::harness::print_sweep_footer(std::cout, counts.size(), pool_size, wall);
 

@@ -3,23 +3,23 @@
 // Runs the scale_state workload (Zipf-skewed asset transfers over a
 // pre-seeded account space, paper-default network) through the
 // intra-channel partitioned engine at every layout — single | roles |
-// per-node — with and without a worker pool, and byte-compares every
-// observable artifact against the serial engine: metrics JSON, trace
-// JSONL, chain/state fingerprints, block height.  Any divergence prints
-// PARTITION EQUIVALENCE VIOLATION and exits 1 — node-group partitioning
-// is an engine optimization, never an observable (DESIGN.md §17).  The
-// single-group run is additionally compared byte-for-byte against the
-// legacy path (harness::run_once) on the same seed.
+// per-node — with and without a worker pool.  Every variant is one
+// harness::run_once with the layout set in the config, and harness::diff
+// compares its artifacts against the serial engine's: metrics JSON, trace
+// JSONL, chain/state fingerprints, block height, event count, invariant
+// violations.  Any divergence prints PARTITION EQUIVALENCE VIOLATION and
+// exits 1 — node-group partitioning is an engine optimization, never an
+// observable (DESIGN.md §17).
 //
-// Wall-clock timings and the speedup column are host-dependent: they stay
-// on stdout plus a separate *_timing.json artifact (so the perf trajectory
-// lands in the BENCH_*.json uploads without poisoning the deterministic
-// JSON, whose bytes depend on --seed alone).  --min-speedup P turns the
+// Wall-clock timings (RunResult::drain_wall_s, the drain alone) and the
+// speedup column are host-dependent: they stay on stdout plus a separate
+// *_timing.json artifact (so the perf trajectory lands in the BENCH_*.json
+// uploads without poisoning the deterministic JSON, whose bytes depend on
+// --seed alone).  --min-speedup P turns the
 // roles-layout speedup into a gate (P in percent, 150 = 1.5x); CI only
 // passes it on runners with enough cores for the number to mean anything.
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -31,38 +31,11 @@
 
 #include "fig_common.h"
 #include "common/json.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/metrics.h"
-#include "obs/trace.h"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string hex64(std::uint64_t v) {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-/// Everything one run produces.  The string/fingerprint fields are the
-/// byte-identity surface; `wall` times net.run() only (construction and
-/// account seeding are identical serial work in every variant).
-struct RunCapture {
-    std::string metrics_json;
-    std::string trace_jsonl;
-    std::uint64_t chain_fp = 0;
-    std::uint64_t state_fp = 0;
-    std::uint64_t blocks = 0;
-    std::uint64_t committed = 0;
-    std::uint64_t events = 0;
-    std::uint64_t windows = 0;
-    std::size_t groups = 1;
-    bool consistent = false;
-    double wall = 0.0;  ///< host-dependent; stdout / timing JSON only
-};
 
 struct BenchSetup {
     fl::core::NetworkConfig config;  ///< partition scheme overridden per run
@@ -88,99 +61,46 @@ fl::harness::Workload make_workload(const BenchSetup& s) {
     return w;
 }
 
-/// Builds the network at `scheme`, drives the workload and captures every
-/// observable output.  Setup mirrors harness::run_once exactly (tx sink →
-/// workload start → account seeding + trace sink → run) so the single-group
-/// capture is bit-comparable against the legacy path.
-RunCapture drive(const BenchSetup& s, fl::core::PartitionScheme scheme,
-                 fl::ThreadPool* pool) {
-    fl::core::NetworkConfig cfg = s.config;
-    cfg.seed = s.seed;
-    cfg.partition.scheme = scheme;
-    fl::core::FabricNetwork net(std::move(cfg));
+/// One run at `scheme` and its engine shape.
+struct LayoutRun {
+    fl::harness::RunResult result;
+    std::uint64_t groups = 1;
+    std::uint64_t windows = 0;
+};
 
-    fl::core::MetricsCollector metrics;
-    net.set_tx_sink(
-        [&metrics](const fl::client::TxRecord& r) { metrics.record(r); });
-    fl::harness::WorkloadDriver driver(net, make_workload(s),
-                                       fl::Rng(s.seed ^ 0x574B4C44ull));
-    driver.start();
-    fl::harness::seed_scale_accounts(net, s.accounts);
-    fl::obs::TraceSink trace;
-    net.set_trace_sink(&trace);
-
-    RunCapture out;
-    const auto started = Clock::now();
-    net.run(pool);
-    out.wall = std::chrono::duration<double>(Clock::now() - started).count();
-
-    std::ostringstream ms;
-    fl::core::write_metrics_json(ms, metrics);
-    out.metrics_json = ms.str();
-    std::ostringstream ts;
-    trace.write_jsonl(ts);
-    out.trace_jsonl = ts.str();
-    out.chain_fp = net.peers().front()->chain().chain_fingerprint();
-    out.state_fp = net.peers().front()->state().fingerprint();
-    out.blocks = net.peers().front()->chain().height();
-    out.committed = metrics.committed_valid();
-    out.events = net.events_executed();
-    out.windows = net.partition_windows();
-    out.groups = net.partition_groups();
-    out.consistent = net.chains_identical() && net.states_identical() &&
-                     net.osn_blocks_identical();
+/// harness::run_once at `scheme`, with a trace captured.
+LayoutRun drive(const BenchSetup& s, fl::core::PartitionScheme scheme,
+                fl::ThreadPool* pool) {
+    LayoutRun out;
+    fl::harness::ExperimentSpec spec;
+    spec.config = s.config;
+    spec.config.partition.scheme = scheme;
+    spec.make_workload = [&s] { return make_workload(s); };
+    spec.capture_trace = true;
+    spec.instrument = [&s](fl::core::FabricNetwork& net, unsigned) {
+        fl::harness::seed_scale_accounts(net, s.accounts);
+    };
+    spec.run_probe = [&out](fl::core::FabricNetwork& net,
+                            std::map<std::string, double>&) {
+        out.groups = net.partition_groups();
+        out.windows = net.partition_windows();
+    };
+    out.result = fl::harness::run_once(spec, s.seed, 0, pool);
     return out;
 }
 
-/// Byte/field comparison against the serial baseline; returns human-readable
-/// divergence descriptions (empty = equivalent).  Window counts are layout
-/// properties, so they are compared at the call site (pool vs no pool of
-/// the SAME layout), not here.
-std::vector<std::string> diff_vs_baseline(const RunCapture& base,
-                                          const RunCapture& run,
+/// Artifact fields where `run` differs from the serial baseline, tagged.
+std::vector<std::string> diff_vs_baseline(const LayoutRun& base,
+                                          const LayoutRun& run,
                                           const std::string& tag) {
     std::vector<std::string> diffs;
-    if (base.metrics_json != run.metrics_json) diffs.push_back(tag + " metrics JSON");
-    if (base.trace_jsonl != run.trace_jsonl) diffs.push_back(tag + " trace JSONL");
-    if (base.chain_fp != run.chain_fp) diffs.push_back(tag + " chain fingerprint");
-    if (base.state_fp != run.state_fp) diffs.push_back(tag + " state fingerprint");
-    if (base.blocks != run.blocks) diffs.push_back(tag + " block height");
-    if (base.committed != run.committed) diffs.push_back(tag + " committed count");
-    if (base.events != run.events) diffs.push_back(tag + " event count");
-    if (!run.consistent) diffs.push_back(tag + " inconsistent replicas");
-    return diffs;
-}
-
-/// The single-group legacy gate: our drive() at PartitionScheme::kSingle
-/// must emit the exact bytes of harness::run_once on the same seed.
-std::vector<std::string> diff_vs_legacy(const RunCapture& ours,
-                                        const BenchSetup& s) {
-    fl::harness::ExperimentSpec spec;
-    spec.config = s.config;
-    spec.make_workload = [&s] { return make_workload(s); };
-    fl::obs::TraceSink sink;
-    spec.instrument = [&sink, &s](fl::core::FabricNetwork& net, unsigned) {
-        fl::harness::seed_scale_accounts(net, s.accounts);
-        net.set_trace_sink(&sink);
-    };
-    std::uint64_t chain_fp = 0;
-    std::uint64_t state_fp = 0;
-    spec.run_probe = [&](fl::core::FabricNetwork& net,
-                         std::map<std::string, double>&) {
-        chain_fp = net.peers().front()->chain().chain_fingerprint();
-        state_fp = net.peers().front()->state().fingerprint();
-    };
-    const fl::harness::RunResult legacy = fl::harness::run_once(spec, s.seed);
-
-    std::vector<std::string> diffs;
-    std::ostringstream metrics_os;
-    fl::core::write_metrics_json(metrics_os, legacy.metrics, nullptr);
-    if (ours.metrics_json != metrics_os.str()) diffs.push_back("legacy metrics JSON");
-    std::ostringstream trace_os;
-    sink.write_jsonl(trace_os);
-    if (ours.trace_jsonl != trace_os.str()) diffs.push_back("legacy trace JSONL");
-    if (ours.chain_fp != chain_fp) diffs.push_back("legacy chain fingerprint");
-    if (ours.state_fp != state_fp) diffs.push_back("legacy state fingerprint");
+    for (const std::string& field :
+         fl::harness::diff(base.result.artifacts, run.result.artifacts)) {
+        diffs.push_back(tag + " " + field);
+    }
+    for (const std::string& v : run.result.artifacts.violations) {
+        diffs.push_back(tag + " invariant " + v);
+    }
     return diffs;
 }
 
@@ -269,20 +189,20 @@ int main(int argc, char** argv) {
 
     bool all_ok = true;
     double roles_speedup = 0.0;
-    RunCapture baseline;
+    LayoutRun baseline;
     const auto started = Clock::now();
     for (const Layout& layout : layouts) {
         std::vector<std::string> diffs;
-        RunCapture inline_run;
-        RunCapture pooled_run;
+        LayoutRun inline_run;
+        LayoutRun pooled_run;
         double speedup = 0.0;
         if (layout.scheme == fl::core::PartitionScheme::kSingle) {
             // The serial engine IS the baseline; a pool changes nothing at
-            // one group, so this point runs once and gates the legacy path.
+            // one group, so this point runs once and gates only safety.
             baseline = drive(setup, layout.scheme, nullptr);
             inline_run = baseline;
             pooled_run = baseline;
-            diffs = diff_vs_legacy(baseline, setup);
+            diffs = diff_vs_baseline(baseline, baseline, layout.label);
         } else {
             inline_run = drive(setup, layout.scheme, nullptr);
             pooled_run = drive(setup, layout.scheme, &pool);
@@ -294,8 +214,10 @@ int main(int argc, char** argv) {
             if (inline_run.windows != pooled_run.windows) {
                 diffs.push_back(tag + " window count (pool-dependent)");
             }
-            speedup = pooled_run.wall > 0.0 ? baseline.wall / pooled_run.wall
-                                            : 0.0;
+            speedup = pooled_run.result.drain_wall_s > 0.0
+                          ? baseline.result.drain_wall_s /
+                                pooled_run.result.drain_wall_s
+                          : 0.0;
             if (layout.scheme == fl::core::PartitionScheme::kRoles) {
                 roles_speedup = speedup;
             }
@@ -308,32 +230,37 @@ int main(int argc, char** argv) {
 
         const bool partitioned =
             layout.scheme != fl::core::PartitionScheme::kSingle;
+        const fl::harness::RunArtifacts& pooled = pooled_run.result.artifacts;
+        const std::uint64_t committed =
+            pooled_run.result.metrics.committed_valid();
         table.add_row({layout.label, std::to_string(pooled_run.groups),
                        std::to_string(pooled_run.windows),
-                       std::to_string(pooled_run.committed),
-                       std::to_string(pooled_run.blocks),
-                       fl::harness::fmt(inline_run.wall, 2),
-                       partitioned ? fl::harness::fmt(pooled_run.wall, 2) : "-",
+                       std::to_string(committed),
+                       std::to_string(pooled.blocks),
+                       fl::harness::fmt(inline_run.result.drain_wall_s, 2),
+                       partitioned
+                           ? fl::harness::fmt(pooled_run.result.drain_wall_s, 2)
+                           : "-",
                        partitioned ? fl::harness::fmt(speedup, 2) : "-",
                        ok ? "OK" : "MISMATCH"});
 
         jw.begin_object();
         jw.field("layout", layout.label);
-        jw.field("groups", static_cast<std::uint64_t>(pooled_run.groups));
+        jw.field("groups", pooled_run.groups);
         jw.field("windows", pooled_run.windows);
-        jw.field("events", pooled_run.events);
-        jw.field("committed", pooled_run.committed);
-        jw.field("blocks", pooled_run.blocks);
-        jw.field("chain_fingerprint", hex64(pooled_run.chain_fp));
-        jw.field("state_fingerprint", hex64(pooled_run.state_fp));
+        jw.field("events", pooled.events_executed);
+        jw.field("committed", committed);
+        jw.field("blocks", pooled.blocks);
+        jw.field("chain_fingerprint", fl::bench::hex64(pooled.chain_fingerprint));
+        jw.field("state_fingerprint", fl::bench::hex64(pooled.state_fingerprint));
         jw.field("equal", ok);
         jw.end_object();
 
         tw.begin_object();
         tw.field("layout", layout.label);
-        tw.field("wall_inline_s", inline_run.wall);
+        tw.field("wall_inline_s", inline_run.result.drain_wall_s);
         if (partitioned) {
-            tw.field("wall_pooled_s", pooled_run.wall);
+            tw.field("wall_pooled_s", pooled_run.result.drain_wall_s);
             tw.field("speedup_vs_serial", speedup);
         }
         tw.end_object();

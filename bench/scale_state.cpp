@@ -35,14 +35,6 @@ namespace {
 
 using namespace fl;
 
-/// Folds a 64-bit fingerprint into two exactly-representable doubles (see
-/// ablation_validation.cpp).
-void fold_hash(std::map<std::string, double>& extra, const std::string& name,
-               std::uint64_t h) {
-    extra[name + "_lo"] += static_cast<double>(h & 0xffffffffULL);
-    extra[name + "_hi"] += static_cast<double>(h >> 32);
-}
-
 /// Zero-padded per-shard extra name ("shard03_keys"): fixed width keeps the
 /// JSON keys sorted in shard order.
 std::string shard_key(std::size_t shard, const char* suffix) {
@@ -186,8 +178,8 @@ int main(int argc, char** argv) {
                                    std::map<std::string, double>& extra) {
             const peer::Peer& p = *net.peers().front();
             const ledger::WorldState& state = p.state();
-            fold_hash(extra, "state_fp", state.fingerprint());
-            fold_hash(extra, "chain_fp", p.chain().chain_fingerprint());
+            bench::fold_hash(extra, "state_fp", state.fingerprint());
+            bench::fold_hash(extra, "chain_fp", p.chain().chain_fingerprint());
             extra["state_keys"] += static_cast<double>(state.key_count());
             extra["state_bytes_approx"] +=
                 static_cast<double>(state.approx_memory_bytes());
@@ -228,7 +220,7 @@ int main(int argc, char** argv) {
                                             "valid", "invalid"};
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto& r = results[i].result;
-        bool equal = r.all_consistent;
+        bool equal = r.all_consistent();
         for (const char* key : kEquivalenceKeys) {
             equal = equal &&
                     r.extra_total(key) == results[0].result.extra_total(key);

@@ -460,14 +460,6 @@ void FabricNetwork::apply_fault(const fault::ScheduledFault& f, std::size_t grou
     }
 }
 
-mq::Broker<orderer::OrderedRecord>& FabricNetwork::broker() {
-    if (!broker_) {
-        throw std::logic_error(
-            "FabricNetwork::broker: Raft backend configured — use ordering()");
-    }
-    return *broker_;
-}
-
 void FabricNetwork::set_tx_sink(std::function<void(const client::TxRecord&)> sink) {
     if (sims_.size() == 1) {
         for (const auto& c : clients_) {

@@ -95,9 +95,6 @@ public:
     [[nodiscard]] const crypto::KeyStore& keys() const { return keys_; }
     /// The ordering substrate, whichever backend is configured.
     [[nodiscard]] orderer::OrderingBackend& ordering() { return *ordering_; }
-    /// The Kafka-style broker; throws std::logic_error under the Raft
-    /// backend (legacy accessor — prefer ordering()).
-    [[nodiscard]] mq::Broker<orderer::OrderedRecord>& broker();
     /// The Raft cluster, or null when the mq backend is configured.
     [[nodiscard]] raft::RaftOrderingBackend* raft_backend() {
         return raft_backend_.get();
@@ -170,7 +167,7 @@ public:
     /// boundary (the paper's §3.3 online-reconfiguration scenarios).
     void update_block_policy(const policy::BlockFormationPolicy& new_policy);
 
-    // -- consistency checks (used by tests & examples) -----------------------
+    // -- consistency checks (core::check_invariants composes them) ----------
     /// True iff every peer holds the identical chain.
     [[nodiscard]] bool chains_identical() const;
     /// True iff every peer holds the identical world state.

@@ -115,6 +115,8 @@ struct CrossChannelMeter {
         /// Jain's index over committed_per_channel / completed_per_client.
         double channel_jain = 1.0;
         double client_jain = 1.0;
+
+        friend bool operator==(const Window&, const Window&) = default;
     };
 
     std::vector<Window> windows;
@@ -131,6 +133,9 @@ struct CrossChannelMeter {
     [[nodiscard]] double client_jain_overall() const;
     /// Jain over the cumulative per-org endorse CPU totals.
     [[nodiscard]] double org_cpu_jain_overall() const;
+
+    /// Exact equality of the whole series (the engine-equivalence gates).
+    friend bool operator==(const CrossChannelMeter&, const CrossChannelMeter&) = default;
 };
 
 /// N independent per-channel FabricNetworks plus the sharded engine.

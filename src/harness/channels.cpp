@@ -1,10 +1,12 @@
 #include "harness/channels.h"
 
+#include <chrono>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/rng.h"
+#include "core/invariants.h"
+#include "harness/experiment.h"
 #include "obs/trace.h"
 
 namespace fl::harness {
@@ -33,6 +35,7 @@ MultiChannelResult run_multi_channel(const MultiChannelSpec& spec,
     // no rng, so each channel's byte stream matches a standalone run_once.
     std::vector<std::unique_ptr<obs::audit::AuditAccountant>> audits(n);
     std::vector<std::unique_ptr<obs::TraceSink>> traces(n);
+    std::vector<std::uint64_t> sink_records(n, 0);
     std::vector<std::unique_ptr<WorkloadDriver>> drivers;
     drivers.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -40,19 +43,13 @@ MultiChannelResult run_multi_channel(const MultiChannelSpec& spec,
         ChannelRunResult& ch = result.channels[i];
         ch.id = engine.channel_id(i);
 
-        net.set_tx_sink(
-            [&ch](const client::TxRecord& r) { ch.metrics.record(r); });
+        net.set_tx_sink([&ch, &records = sink_records[i]](const client::TxRecord& r) {
+            ++records;
+            ch.metrics.record(r);
+        });
 
         if (spec.audit) {
-            obs::audit::AuditConfig audit_cfg = *spec.audit;
-            if (audit_cfg.level_weights.empty()) {
-                const auto& channel = net.config().channel;
-                audit_cfg.level_weights = channel.priority_enabled
-                                              ? channel.block_policy.fractions()
-                                              : std::vector<double>{1.0};
-            }
-            audits[i] =
-                std::make_unique<obs::audit::AuditAccountant>(std::move(audit_cfg));
+            audits[i] = make_audit(*spec.audit, net.config().channel);
             net.set_audit(audits[i].get());
         }
 
@@ -72,7 +69,11 @@ MultiChannelResult run_multi_channel(const MultiChannelSpec& spec,
         if (spec.instrument) spec.instrument(net, i);
     }
 
+    const auto drain_started = std::chrono::steady_clock::now();
     result.events_executed = engine.run(pool);
+    result.drain_wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - drain_started)
+                              .count();
     result.windows = engine.windows_executed();
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -87,24 +88,9 @@ MultiChannelResult run_multi_channel(const MultiChannelSpec& spec,
             ch.audit = audits[i]->report();
         }
 
-        ch.chain_fingerprint = net.peers().front()->chain().chain_fingerprint();
-        ch.state_fingerprint = net.peers().front()->state().fingerprint();
-        ch.blocks = net.peers().front()->chain().height();
-        ch.txs_invalid = net.peers().front()->txs_invalid();
-        ch.consistent = net.chains_identical() && net.states_identical() &&
-                        net.osn_blocks_identical();
-
-        if (spec.capture_metrics_json) {
-            std::ostringstream os;
-            core::write_metrics_json(os, ch.metrics,
-                                     ch.audit ? &*ch.audit : nullptr);
-            ch.metrics_json = os.str();
-        }
-        if (traces[i]) {
-            std::ostringstream os;
-            traces[i]->write_jsonl(os);
-            ch.trace_jsonl = os.str();
-        }
+        ch.artifacts = capture_artifacts(
+            net, ch.metrics, ch.audit ? &*ch.audit : nullptr, traces[i].get(),
+            core::check_invariants(net, sink_records[i]));
     }
 
     result.meter = engine.meter();

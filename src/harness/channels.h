@@ -1,18 +1,18 @@
 // Multi-channel experiment runner: drives N channels of a
 // core::MultiChannelNetwork to completion — serially or on the
-// channel-sharded parallel engine — and captures every per-channel artifact
-// the byte-determinism contract covers: the metrics JSON, the trace JSONL
-// and the ledger fingerprints.
+// channel-sharded parallel engine — and captures one harness::RunArtifacts
+// per channel through the same routine as harness::run_once: metrics JSON,
+// trace JSONL, ledger fingerprints and invariant violations.
 //
 // Parity contract (tested in tests/core/multi_channel_test.cpp and gated in
 // bench/scale_channels): the serial engine (pool == nullptr) and the
 // parallel engine produce bit-identical artifacts for every channel, and a
 // fault-free 1-channel run is bit-identical to harness::run_once on the
-// same config+seed — same metrics JSON, same (untagged) trace bytes, same
-// chain/state fingerprints.  That holds because this runner mirrors
-// run_once's per-channel construction order exactly: network → tx sink →
-// audit → WorkloadDriver(Rng(channel seed ^ 0x574B4C44)) → start →
-// instrument/trace → drain → audit finalize at the last event time.
+// same config+seed: harness::diff of the two bundles is empty.  That holds
+// because this runner mirrors run_once's per-channel construction order
+// exactly: network → tx sink → audit → WorkloadDriver(Rng(channel seed ^
+// 0x574B4C44)) → start → trace → instrument → drain → audit finalize at the
+// last event time → core::check_invariants → capture_artifacts.
 #pragma once
 
 #include <functional>
@@ -22,6 +22,7 @@
 
 #include "core/metrics.h"
 #include "core/multi_channel.h"
+#include "harness/artifacts.h"
 #include "harness/workload.h"
 #include "obs/audit/audit.h"
 
@@ -35,8 +36,6 @@ struct MultiChannelSpec {
     /// Run seed; channel i runs with core::channel_seed(seed, i).
     std::uint64_t seed = 42;
 
-    /// Captures the per-channel metrics JSON (core::write_metrics_json).
-    bool capture_metrics_json = true;
     /// Captures the per-channel trace JSONL.  Sinks are channel-tagged only
     /// when the run has more than one channel, so a 1-channel capture stays
     /// byte-identical to the single-network harness.
@@ -53,13 +52,7 @@ struct MultiChannelSpec {
 struct ChannelRunResult {
     ChannelId id;
     core::MetricsCollector metrics;
-    std::string metrics_json;  ///< when capture_metrics_json
-    std::string trace_jsonl;   ///< when capture_trace
-    std::uint64_t chain_fingerprint = 0;  ///< peer 0 block chain
-    std::uint64_t state_fingerprint = 0;  ///< peer 0 world state
-    std::uint64_t blocks = 0;
-    std::uint64_t txs_invalid = 0;
-    bool consistent = false;  ///< chains + states + OSN logs agree in-channel
+    RunArtifacts artifacts;
     std::optional<obs::audit::AuditReport> audit;
 };
 
@@ -68,6 +61,8 @@ struct MultiChannelResult {
     core::CrossChannelMeter meter;
     std::uint64_t events_executed = 0;
     std::uint64_t windows = 0;
+    /// Host wall-clock seconds of the drain alone (RunResult::drain_wall_s).
+    double drain_wall_s = 0.0;
 };
 
 /// Runs every channel to completion.  `pool == nullptr` selects the serial

@@ -1,11 +1,26 @@
 #include "harness/experiment.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "core/invariants.h"
+#include "obs/trace.h"
 
 namespace fl::harness {
+
+std::unique_ptr<obs::audit::AuditAccountant> make_audit(
+    obs::audit::AuditConfig config, const policy::ChannelConfig& channel) {
+    if (config.level_weights.empty()) {
+        config.level_weights = channel.priority_enabled
+                                   ? channel.block_policy.fractions()
+                                   : std::vector<double>{1.0};
+    }
+    return std::make_unique<obs::audit::AuditAccountant>(std::move(config));
+}
 
 RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
                    unsigned run_index, ThreadPool* pool) {
@@ -17,10 +32,13 @@ RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
         // equivalence contract: the engines are byte-identical.
         config.partition = {};
     }
+    obs::TraceSink trace;  // outlives the network that points at it
     core::FabricNetwork net(config);
 
     RunResult result;
-    net.set_tx_sink([&result, &spec, &net](const client::TxRecord& r) {
+    std::uint64_t sink_records = 0;
+    net.set_tx_sink([&result, &spec, &net, &sink_records](const client::TxRecord& r) {
+        ++sink_records;
         result.metrics.record(r);
         if (spec.tx_probe) spec.tx_probe(r, net, result.extra);
     });
@@ -29,50 +47,43 @@ RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
     // events scheduled, no rng draws), so results are identical either way.
     std::unique_ptr<obs::audit::AuditAccountant> audit;
     if (spec.audit) {
-        obs::audit::AuditConfig audit_cfg = *spec.audit;
-        if (audit_cfg.level_weights.empty()) {
-            audit_cfg.level_weights = config.channel.priority_enabled
-                                          ? config.channel.block_policy.fractions()
-                                          : std::vector<double>{1.0};
-        }
-        audit = std::make_unique<obs::audit::AuditAccountant>(std::move(audit_cfg));
+        audit = make_audit(*spec.audit, config.channel);
         net.set_audit(audit.get());
     }
 
     Workload workload = spec.make_workload();
     WorkloadDriver driver(net, std::move(workload), Rng(seed ^ 0x574B4C44ull));
     driver.start();
+    if (spec.capture_trace) net.set_trace_sink(&trace);
     // Instrument after the workload is scheduled: a sampling recorder armed
     // against an empty event queue would never fire (it only re-arms while
     // other events are pending, so the sim can drain).
     if (spec.instrument) spec.instrument(net, run_index);
+    const auto drain_started = std::chrono::steady_clock::now();
     net.run(pool);
+    result.drain_wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - drain_started)
+                              .count();
 
     if (audit) {
         audit->finalize(net.simulator().now());
         result.audit = audit->report();
     }
+    // Probes see the network after the checker and before the artifact
+    // fingerprints: world-state read-lock counters (scale_state) count every
+    // fingerprint taken, so this order is part of the byte contract.
+    std::vector<std::string> violations = core::check_invariants(net, sink_records);
+    if (spec.run_probe) spec.run_probe(net, result.extra);
 
-    result.chains_identical = net.chains_identical();
-    result.states_identical = net.states_identical();
-    result.osn_blocks_identical = net.osn_blocks_identical();
-    result.blocks = net.peers().front()->chain().height();
+    result.artifacts =
+        capture_artifacts(net, result.metrics, result.audit ? &*result.audit : nullptr,
+                          spec.capture_trace ? &trace : nullptr, std::move(violations));
     result.txs_invalid = net.peers().front()->txs_invalid();
     for (const auto& osn : net.osns()) {
         result.consolidation_failures += osn->consolidation_failures();
     }
     result.level_totals = net.osns().front()->level_totals();
-    if (spec.run_probe) spec.run_probe(net, result.extra);
     return result;
-}
-
-RunResult run_once(core::NetworkConfig config,
-                   const std::function<Workload()>& make_workload,
-                   std::uint64_t seed) {
-    ExperimentSpec spec;
-    spec.config = std::move(config);
-    spec.make_workload = make_workload;
-    return run_once(spec, seed);
 }
 
 AggregateResult run_experiment(const ExperimentSpec& spec) {
@@ -88,7 +99,7 @@ AggregateResult run_experiment(const ExperimentSpec& spec) {
 
         agg.overall_latency.add_run(r.metrics.avg_latency());
         agg.throughput_tps.add_run(r.metrics.throughput_tps());
-        agg.blocks_per_run.add_run(static_cast<double>(r.blocks));
+        agg.blocks_per_run.add_run(static_cast<double>(r.artifacts.blocks));
         for (const auto& [level, hist] : r.metrics.by_priority()) {
             agg.latency_by_priority[level].add_run(hist.mean());
         }
@@ -109,14 +120,15 @@ AggregateResult run_experiment(const ExperimentSpec& spec) {
         agg.total_invalid += r.metrics.committed_invalid();
         agg.total_client_failures += r.metrics.client_failures();
         agg.total_consolidation_failures += r.consolidation_failures;
-        agg.all_consistent = agg.all_consistent && r.chains_identical &&
-                             r.states_identical && r.osn_blocks_identical;
+        for (const std::string& v : r.artifacts.violations) {
+            if (std::find(agg.violations.begin(), agg.violations.end(), v) ==
+                agg.violations.end()) {
+                agg.violations.push_back(v);
+            }
+        }
         if (r.audit) agg.audit_reports.push_back(*r.audit);
         if (spec.keep_run_metrics) {
-            std::ostringstream os;
-            core::write_metrics_json(os, r.metrics,
-                                     r.audit ? &*r.audit : nullptr);
-            agg.run_metrics_json.push_back(os.str());
+            agg.run_metrics_json.push_back(r.artifacts.metrics_json);
         }
     }
     return agg;

@@ -11,11 +11,14 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/fabric_network.h"
 #include "core/metrics.h"
+#include "harness/artifacts.h"
 #include "harness/workload.h"
 #include "obs/audit/audit.h"
 
@@ -41,6 +44,10 @@ struct ExperimentSpec {
     /// When true, run_experiment keeps a per-run JSON metrics dump (see
     /// core::write_metrics_json) in AggregateResult::run_metrics_json.
     bool keep_run_metrics = false;
+    /// When true, every run records a trace into RunArtifacts::trace_jsonl.
+    /// The sink attaches after the workload is scheduled and before
+    /// `instrument`, exactly as run_multi_channel attaches its channel sinks.
+    bool capture_trace = false;
 
     /// Observability hook, invoked once per run after the workload is
     /// scheduled but before the simulation drains — the point where a trace
@@ -61,16 +68,17 @@ struct ExperimentSpec {
 /// Results of a single run.
 struct RunResult {
     core::MetricsCollector metrics;
-    bool chains_identical = false;
-    bool states_identical = false;
-    bool osn_blocks_identical = false;
-    std::uint64_t blocks = 0;
+    /// Bytes, fingerprints and invariant violations of the drained network.
+    RunArtifacts artifacts;
     std::uint64_t txs_invalid = 0;
     std::uint64_t consolidation_failures = 0;
     std::vector<std::uint64_t> level_totals;  ///< per-level txs ordered (OSN 0)
     std::map<std::string, double> extra;      ///< probe-filled counters
     /// Finalized fairness-audit report (only when ExperimentSpec::audit).
     std::optional<obs::audit::AuditReport> audit;
+    /// Host wall-clock seconds of the drain (net.run()) alone.  Host-
+    /// dependent: for stdout and timing artifacts, never deterministic JSON.
+    double drain_wall_s = 0.0;
 };
 
 /// Per-run means of the pipeline-phase latencies, aggregated across runs.
@@ -93,7 +101,8 @@ struct AggregateResult {
     std::uint64_t total_invalid = 0;
     std::uint64_t total_client_failures = 0;
     std::uint64_t total_consolidation_failures = 0;
-    bool all_consistent = true;
+    /// Union of the runs' core::check_invariants names, in first-seen order.
+    std::vector<std::string> violations;
     /// Per-run means of the probe counters in RunResult::extra.
     std::map<std::string, RunAggregator> extra;
     /// Per-run metrics dumps (only when ExperimentSpec::keep_run_metrics).
@@ -101,6 +110,8 @@ struct AggregateResult {
     /// Per-run audit reports (only when ExperimentSpec::audit).
     std::vector<obs::audit::AuditReport> audit_reports;
 
+    /// True when no run reported an invariant violation.
+    [[nodiscard]] bool all_consistent() const { return violations.empty(); }
     [[nodiscard]] double priority_latency(PriorityLevel level) const {
         const auto it = latency_by_priority.find(level);
         return it == latency_by_priority.end() ? 0.0 : it->second.mean();
@@ -115,8 +126,11 @@ struct AggregateResult {
     [[nodiscard]] double extra_total(const std::string& key) const;
 };
 
-/// Executes one run with the given seed.  `run_index` is forwarded to
-/// ExperimentSpec::instrument.  `pool` parallelizes partition groups when
+/// Executes one run with the given seed — the one driver every bench and
+/// gate uses: network → tx sink → audit → WorkloadDriver(Rng(seed ^
+/// 0x574B4C44)) → start → trace → instrument → drain → audit finalize →
+/// core::check_invariants → run_probe → artifacts.  `run_index` is forwarded
+/// to ExperimentSpec::instrument.  `pool` parallelizes partition groups when
 /// the config requests a multi-group layout (core::PartitionConfig);
 /// results are byte-identical at every pool size, including null.  Specs
 /// with an audit run on the serial engine (the accountant observes global
@@ -125,10 +139,11 @@ struct AggregateResult {
                                  unsigned run_index = 0,
                                  ThreadPool* pool = nullptr);
 
-/// Backward-compatible overload without probes.
-[[nodiscard]] RunResult run_once(core::NetworkConfig config,
-                                 const std::function<Workload()>& make_workload,
-                                 std::uint64_t seed);
+/// A fresh fairness-audit accountant for one network; empty level_weights
+/// default from the channel's block policy (one level when priorities are
+/// off).
+[[nodiscard]] std::unique_ptr<obs::audit::AuditAccountant> make_audit(
+    obs::audit::AuditConfig config, const policy::ChannelConfig& channel);
 
 /// Executes spec.runs runs (seeds base_seed, base_seed+1, ...) and aggregates.
 [[nodiscard]] AggregateResult run_experiment(const ExperimentSpec& spec);

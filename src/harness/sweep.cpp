@@ -119,7 +119,7 @@ void write_point(JsonWriter& json, const PointResult& point) {
     json.field("total_invalid", r.total_invalid);
     json.field("total_client_failures", r.total_client_failures);
     json.field("total_consolidation_failures", r.total_consolidation_failures);
-    json.field("all_consistent", r.all_consistent);
+    json.field("all_consistent", r.all_consistent());
 
     if (!r.extra.empty()) {
         json.key("extra");

@@ -4,7 +4,7 @@
 //   1. config validation — zero channels, duplicate ids, bad sync window —
 //      and per-channel policy defaulting over the base NetworkConfig;
 //   2. 1-channel legacy byte-identity: the sharded engine (serial AND
-//      parallel) reproduces harness::run_once bit for bit;
+//      parallel) reproduces harness::run_once's artifacts bit for bit;
 //   3. serial-vs-parallel differential over random seeds × channel counts:
 //      every per-channel artifact and the cross-channel meter agree;
 //   4. engine-knob invariance: sync_window and pool size never change
@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "harness/experiment.h"
 #include "harness/workload.h"
 #include "obs/metric_registry.h"
-#include "obs/trace.h"
 
 namespace fl::core {
 namespace {
@@ -61,32 +59,13 @@ void expect_identical(const harness::MultiChannelResult& a,
     ASSERT_EQ(a.channels.size(), b.channels.size()) << what;
     for (std::size_t i = 0; i < a.channels.size(); ++i) {
         SCOPED_TRACE(what + ": channel " + std::to_string(i));
-        EXPECT_EQ(a.channels[i].metrics_json, b.channels[i].metrics_json);
-        EXPECT_EQ(a.channels[i].trace_jsonl, b.channels[i].trace_jsonl);
-        EXPECT_EQ(a.channels[i].chain_fingerprint, b.channels[i].chain_fingerprint);
-        EXPECT_EQ(a.channels[i].state_fingerprint, b.channels[i].state_fingerprint);
-        EXPECT_EQ(a.channels[i].blocks, b.channels[i].blocks);
-        EXPECT_TRUE(a.channels[i].consistent);
-        EXPECT_TRUE(b.channels[i].consistent);
+        EXPECT_EQ(harness::diff(a.channels[i].artifacts, b.channels[i].artifacts),
+                  std::vector<std::string>{});
+        EXPECT_EQ(a.channels[i].artifacts.violations, std::vector<std::string>{});
     }
     EXPECT_EQ(a.events_executed, b.events_executed) << what;
     EXPECT_EQ(a.windows, b.windows) << what;
-    ASSERT_EQ(a.meter.windows.size(), b.meter.windows.size()) << what;
-    for (std::size_t w = 0; w < a.meter.windows.size(); ++w) {
-        SCOPED_TRACE(what + ": meter window " + std::to_string(w));
-        EXPECT_EQ(a.meter.windows[w].end, b.meter.windows[w].end);
-        EXPECT_EQ(a.meter.windows[w].committed_per_channel,
-                  b.meter.windows[w].committed_per_channel);
-        EXPECT_EQ(a.meter.windows[w].endorse_cpu_per_org,
-                  b.meter.windows[w].endorse_cpu_per_org);
-        EXPECT_EQ(a.meter.windows[w].completed_per_client,
-                  b.meter.windows[w].completed_per_client);
-        EXPECT_EQ(a.meter.windows[w].channel_jain, b.meter.windows[w].channel_jain);
-        EXPECT_EQ(a.meter.windows[w].client_jain, b.meter.windows[w].client_jain);
-    }
-    EXPECT_EQ(a.meter.committed_per_channel, b.meter.committed_per_channel) << what;
-    EXPECT_EQ(a.meter.completed_per_client, b.meter.completed_per_client) << what;
-    EXPECT_EQ(a.meter.endorse_cpu_per_org, b.meter.endorse_cpu_per_org) << what;
+    EXPECT_TRUE(a.meter == b.meter) << what;
 }
 
 // -- configuration validation + defaulting ----------------------------------
@@ -170,26 +149,14 @@ TEST(MultiChannelEngine, OneChannelMatchesLegacyRunOnceByteForByte) {
     const std::uint64_t seed = 42;
     harness::MultiChannelSpec spec = small_spec(1, seed);
 
-    // Legacy single-network run with a trace attached the same way.
+    // The single-network harness on the same config, seed and trace capture.
     harness::ExperimentSpec legacy;
     legacy.config = spec.config.channel_config(0);
     const std::size_t clients = legacy.config.clients;
     legacy.make_workload = [clients] { return small_workload(clients, 120); };
-    obs::TraceSink sink;
-    legacy.instrument = [&sink](FabricNetwork& net, unsigned) {
-        net.set_trace_sink(&sink);
-    };
-    std::uint64_t chain_fp = 0;
-    std::uint64_t state_fp = 0;
-    legacy.run_probe = [&](FabricNetwork& net, std::map<std::string, double>&) {
-        chain_fp = net.peers().front()->chain().chain_fingerprint();
-        state_fp = net.peers().front()->state().fingerprint();
-    };
-    const harness::RunResult gold = harness::run_once(legacy, seed);
-    std::ostringstream gold_metrics;
-    write_metrics_json(gold_metrics, gold.metrics, nullptr);
-    std::ostringstream gold_trace;
-    sink.write_jsonl(gold_trace);
+    legacy.capture_trace = true;
+    const harness::RunArtifacts gold = harness::run_once(legacy, seed).artifacts;
+    ASSERT_FALSE(gold.trace_jsonl.empty());
 
     ThreadPool pool(4);
     for (ThreadPool* engine_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
@@ -197,11 +164,9 @@ TEST(MultiChannelEngine, OneChannelMatchesLegacyRunOnceByteForByte) {
         const harness::MultiChannelResult r =
             harness::run_multi_channel(spec, engine_pool);
         ASSERT_EQ(r.channels.size(), 1u);
-        EXPECT_EQ(r.channels[0].metrics_json, gold_metrics.str());
-        EXPECT_EQ(r.channels[0].trace_jsonl, gold_trace.str());
-        EXPECT_EQ(r.channels[0].chain_fingerprint, chain_fp);
-        EXPECT_EQ(r.channels[0].state_fingerprint, state_fp);
-        EXPECT_FALSE(r.channels[0].trace_jsonl.find("\"ch\":") == 0)
+        EXPECT_EQ(harness::diff(r.channels[0].artifacts, gold),
+                  std::vector<std::string>{});
+        EXPECT_FALSE(r.channels[0].artifacts.trace_jsonl.find("\"ch\":") == 0)
             << "1-channel traces must stay untagged";
     }
 }
@@ -223,8 +188,8 @@ TEST(MultiChannelEngine, SerialAndParallelEnginesAgreeAcrossSeedsAndCounts) {
                              std::to_string(channels) + " channels, seed " +
                                  std::to_string(seed));
             // Channels must actually differ from each other (distinct seeds).
-            EXPECT_NE(serial.channels[0].trace_jsonl.substr(0, 400),
-                      serial.channels[1].trace_jsonl.substr(0, 400));
+            EXPECT_NE(serial.channels[0].artifacts.trace_jsonl.substr(0, 400),
+                      serial.channels[1].artifacts.trace_jsonl.substr(0, 400));
         }
     }
 }
@@ -239,8 +204,8 @@ TEST(MultiChannelEngine, HeterogeneousChannelPoliciesRunAndStayConsistent) {
         harness::run_multi_channel(spec, &pool);
     expect_identical(serial, parallel, "heterogeneous policies");
     for (const auto& ch : serial.channels) {
-        EXPECT_TRUE(ch.consistent);
-        EXPECT_GT(ch.blocks, 0u);
+        EXPECT_EQ(ch.artifacts.violations, std::vector<std::string>{});
+        EXPECT_GT(ch.artifacts.blocks, 0u);
     }
 }
 
@@ -255,9 +220,8 @@ TEST(MultiChannelEngine, SyncWindowNeverChangesPerChannelBytes) {
     const harness::MultiChannelResult b = harness::run_multi_channel(fine);
     ASSERT_EQ(a.channels.size(), b.channels.size());
     for (std::size_t i = 0; i < a.channels.size(); ++i) {
-        EXPECT_EQ(a.channels[i].metrics_json, b.channels[i].metrics_json);
-        EXPECT_EQ(a.channels[i].trace_jsonl, b.channels[i].trace_jsonl);
-        EXPECT_EQ(a.channels[i].chain_fingerprint, b.channels[i].chain_fingerprint);
+        EXPECT_EQ(harness::diff(a.channels[i].artifacts, b.channels[i].artifacts),
+                  std::vector<std::string>{});
     }
     // The meter cadence is the knob that DOES move; cumulative totals agree.
     EXPECT_GT(b.windows, a.windows);
@@ -298,10 +262,10 @@ TEST(MultiChannelEngine, MultiChannelTracesCarryChannelTags) {
     const harness::MultiChannelResult r = harness::run_multi_channel(spec, &pool);
     ASSERT_EQ(r.channels.size(), 2u);
     for (const auto& ch : r.channels) {
-        ASSERT_FALSE(ch.trace_jsonl.empty());
+        ASSERT_FALSE(ch.artifacts.trace_jsonl.empty());
         const std::string expect =
             "{\"ch\":" + std::to_string(ch.id.value()) + ",";
-        std::istringstream lines(ch.trace_jsonl);
+        std::istringstream lines(ch.artifacts.trace_jsonl);
         std::string line;
         while (std::getline(lines, line)) {
             ASSERT_EQ(line.rfind(expect, 0), 0u)

@@ -2,8 +2,9 @@
 //
 // The partitioned engine's contract is byte-identity: at ANY partition
 // layout, window stepping and worker count, a run produces exactly the
-// serial engine's output — trace JSONL, transaction-record stream (content
-// AND sink order), metrics JSON, chain/state fingerprints.  These tests pin
+// serial engine's output — harness::run_once's artifacts (trace JSONL,
+// metrics JSON, chain/state fingerprints, counts, invariant verdict) and
+// the transaction-record stream (content AND sink order).  These tests pin
 // that contract over full networks (both ordering backends, with and
 // without component faults); unit tests for the window algebra itself live
 // in tests/sim/partition_test.cpp.
@@ -12,17 +13,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/metrics.h"
+#include "harness/experiment.h"
 #include "harness/workload.h"
 #include "obs/audit/audit.h"
-#include "obs/trace.h"
 
 namespace fl::core {
 namespace {
@@ -53,31 +55,30 @@ harness::Workload small_workload(std::uint32_t clients, std::uint64_t total) {
 
 /// Everything observable about one run, for byte-for-byte comparison.
 struct RunOutput {
-    std::string trace_jsonl;
+    harness::RunArtifacts artifacts;
     std::string tx_log;  ///< serialized TxRecords in sink-callback order
-    std::string metrics_json;
-    std::uint64_t chain_fp = 0;
-    std::uint64_t state_fp = 0;
-    std::uint64_t blocks = 0;
-    std::uint64_t submitted = 0;
     std::uint64_t faults = 0;
     std::size_t groups = 0;
-    bool consistent = false;
-
-    friend bool operator==(const RunOutput&, const RunOutput&) = default;
 };
 
-/// Builds a network, drives the standard workload and captures every
-/// observable output.  `step` > 0 drains via repeated advance_until windows
-/// of that size instead of run() — output must not depend on the stepping.
+/// harness::run_once with a trace captured and every TxRecord logged.
+/// `step` > 0 drains via repeated advance_until windows of that size from
+/// the instrument hook (run_once's own run() then finds nothing left) —
+/// output must not depend on the stepping.
 RunOutput drive(NetworkConfig cfg, ThreadPool* pool = nullptr,
                 std::uint64_t total_txs = 240,
                 Duration step = Duration::zero()) {
-    FabricNetwork net(std::move(cfg));
-    MetricsCollector metrics;
+    RunOutput out;
     std::ostringstream txlog;
-    net.set_tx_sink([&](const client::TxRecord& r) {
-        metrics.record(r);
+    const std::uint64_t seed = cfg.seed;
+    harness::ExperimentSpec spec;
+    spec.config = std::move(cfg);
+    spec.make_workload = [clients = spec.config.clients, total_txs] {
+        return small_workload(clients, total_txs);
+    };
+    spec.capture_trace = true;
+    spec.tx_probe = [&txlog](const client::TxRecord& r, FabricNetwork&,
+                             std::map<std::string, double>&) {
         txlog << r.tx_id.value() << ' ' << r.client.value() << ' ' << r.chaincode
               << ' ' << static_cast<int>(r.priority) << ' '
               << r.submitted_at.as_nanos() << ' ' << r.broadcast_at.as_nanos()
@@ -85,56 +86,32 @@ RunOutput drive(NetworkConfig cfg, ThreadPool* pool = nullptr,
               << r.committed_at.as_nanos() << ' ' << r.completed_at.as_nanos()
               << ' ' << static_cast<int>(r.code) << ' ' << r.failed_before_ordering
               << ' ' << r.endorse_retries << ' ' << r.resubmissions << '\n';
-    });
-    obs::TraceSink trace;
-    net.set_trace_sink(&trace);
-
-    harness::WorkloadDriver driver(
-        net, small_workload(net.config().clients, total_txs),
-        Rng(net.config().seed ^ 0x574B4C44ull));
-    driver.start();
-
+    };
     if (step > Duration::zero()) {
-        TimePoint at = TimePoint::origin();
-        while (net.next_event_time() != TimePoint::max()) {
-            at = at + step;
-            net.advance_until(at, pool);
-        }
-    } else {
-        net.run(pool);
+        spec.instrument = [step, pool](FabricNetwork& net, unsigned) {
+            TimePoint at = TimePoint::origin();
+            while (net.next_event_time() != TimePoint::max()) {
+                at = at + step;
+                net.advance_until(at, pool);
+            }
+        };
     }
-
-    RunOutput out;
-    std::ostringstream ts;
-    trace.write_jsonl(ts);
-    out.trace_jsonl = ts.str();
+    spec.run_probe = [&out](FabricNetwork& net, std::map<std::string, double>&) {
+        out.faults = net.faults_applied();
+        out.groups = net.partition_groups();
+    };
+    out.artifacts = harness::run_once(spec, seed, 0, pool).artifacts;
     out.tx_log = txlog.str();
-    std::ostringstream ms;
-    write_metrics_json(ms, metrics);
-    out.metrics_json = ms.str();
-    out.chain_fp = net.peers().front()->chain().chain_fingerprint();
-    out.state_fp = net.peers().front()->state().fingerprint();
-    out.blocks = net.peers().front()->chain().height();
-    out.submitted = driver.submitted();
-    out.faults = net.faults_applied();
-    out.groups = net.partition_groups();
-    out.consistent = net.chains_identical() && net.states_identical() &&
-                     net.osn_blocks_identical();
     return out;
 }
 
 void expect_identical(const RunOutput& serial, const RunOutput& part) {
-    // Field-by-field first so a mismatch names the diverging artifact.
-    EXPECT_EQ(serial.trace_jsonl, part.trace_jsonl);
+    // harness::diff names every diverging artifact field.
+    EXPECT_EQ(harness::diff(serial.artifacts, part.artifacts),
+              std::vector<std::string>{});
     EXPECT_EQ(serial.tx_log, part.tx_log);
-    EXPECT_EQ(serial.metrics_json, part.metrics_json);
-    EXPECT_EQ(serial.chain_fp, part.chain_fp);
-    EXPECT_EQ(serial.state_fp, part.state_fp);
-    EXPECT_EQ(serial.blocks, part.blocks);
-    EXPECT_EQ(serial.submitted, part.submitted);
     EXPECT_EQ(serial.faults, part.faults);
-    EXPECT_TRUE(serial.consistent);
-    EXPECT_TRUE(part.consistent);
+    EXPECT_EQ(serial.artifacts.violations, std::vector<std::string>{});
 }
 
 TEST(PartitionedEngineTest, DefaultConfigRunsSerialEngine) {
@@ -170,7 +147,7 @@ TEST(PartitionedEngineTest, WorkerThreadsDoNotChangeOutput) {
     const RunOutput inline_run = drive(small_config(1234, PartitionScheme::kRoles));
     const RunOutput pooled_run =
         drive(small_config(1234, PartitionScheme::kRoles), &pool);
-    EXPECT_EQ(inline_run, pooled_run);
+    expect_identical(inline_run, pooled_run);
 }
 
 TEST(PartitionedEngineTest, WindowSteppingDoesNotChangeOutput) {
@@ -181,8 +158,8 @@ TEST(PartitionedEngineTest, WindowSteppingDoesNotChangeOutput) {
                                  nullptr, 240, Duration::millis(3));
     const RunOutput coarse = drive(small_config(42, PartitionScheme::kRoles),
                                    nullptr, 240, Duration::millis(97));
-    EXPECT_EQ(whole, fine);
-    EXPECT_EQ(whole, coarse);
+    expect_identical(whole, fine);
+    expect_identical(whole, coarse);
 }
 
 TEST(PartitionedEngineTest, CustomLayoutMatchesSerial) {
@@ -230,6 +207,9 @@ TEST(PartitionedEngineTest, CustomLayoutValidation) {
 TEST(PartitionedEngineTest, ComponentFaultScheduleMatchesSerial) {
     const auto with_faults = [](PartitionScheme scheme) {
         NetworkConfig cfg = small_config(42, scheme);
+        // Retries resubmit what the crashed OSN swallowed, so every
+        // submission still terminates (the invariants hold).
+        cfg.client_params.retry.enabled = true;
         cfg.faults.schedule = {
             {Duration::millis(50), fault::FaultKind::kOsnCrash, 1},
             {Duration::millis(100), fault::FaultKind::kEndorserSlow, 0, 4.0},

@@ -184,7 +184,7 @@ TEST(ExperimentTest, AggregatesAcrossRuns) {
     EXPECT_EQ(agg.total_committed, 120u);
     EXPECT_EQ(agg.overall_latency.runs(), 3u);
     EXPECT_GT(agg.overall_latency.mean(), 0.0);
-    EXPECT_TRUE(agg.all_consistent);
+    EXPECT_TRUE(agg.all_consistent());
     EXPECT_GT(agg.throughput_tps.mean(), 0.0);
 }
 

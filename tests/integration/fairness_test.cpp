@@ -58,7 +58,7 @@ TEST(OverloadTest, UnderCapacityPrioritiesBarelyMatter) {
     // 120 tps << 200 tps capacity: every class near the baseline.
     const auto with = run(true, 120.0, 600);
     const auto without = run(false, 120.0, 600);
-    ASSERT_TRUE(with.all_consistent);
+    ASSERT_TRUE(with.all_consistent());
     const double base = without.overall_latency.mean();
     ASSERT_GT(base, 0.0);
     for (const PriorityLevel level : {0u, 1u, 2u}) {
@@ -72,8 +72,8 @@ TEST(OverloadTest, OverCapacityHighPriorityProtected) {
     // clearly and low priority must pay for it.
     const auto with = run(true, 250.0, 1500);
     const auto without = run(false, 250.0, 1500);
-    ASSERT_TRUE(with.all_consistent);
-    ASSERT_TRUE(without.all_consistent);
+    ASSERT_TRUE(with.all_consistent());
+    ASSERT_TRUE(without.all_consistent());
     const double base = without.overall_latency.mean();
     EXPECT_LT(with.priority_latency(0), 0.8 * base);
     EXPECT_GT(with.priority_latency(2), 1.2 * base);
@@ -138,7 +138,7 @@ TEST(FairnessTest, FloodingHurtsEveryoneWithoutPriority) {
 TEST(FairnessTest, FloodingIsolatedWithPriority) {
     const auto calm = run_flood(true, 60.0);
     const auto flood = run_flood(true, 300.0);
-    ASSERT_TRUE(flood.all_consistent);
+    ASSERT_TRUE(flood.all_consistent());
     // Victims stay near their calm latency...
     for (const std::uint64_t victim : {1ull, 2ull}) {
         const double ratio =

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/fabric_network.h"
 #include "harness/experiment.h"
@@ -218,18 +219,14 @@ TEST(TraceWiringTest, DetachRestoresUntracedBehaviour) {
 TEST(TraceWiringTest, TracingDoesNotChangeResults) {
     const harness::RunResult plain = harness::run_once(tiny_spec(), 4242);
 
-    TraceSink sink;
     harness::ExperimentSpec traced = tiny_spec();
-    traced.instrument = [&sink](core::FabricNetwork& net, unsigned) {
-        net.set_trace_sink(&sink);
-    };
+    traced.capture_trace = true;
     const harness::RunResult with_trace = harness::run_once(traced, 4242);
 
-    EXPECT_FALSE(sink.empty());
-    EXPECT_EQ(plain.metrics.committed_valid(), with_trace.metrics.committed_valid());
-    EXPECT_EQ(plain.blocks, with_trace.blocks);
-    EXPECT_DOUBLE_EQ(plain.metrics.throughput_tps(),
-                     with_trace.metrics.throughput_tps());
+    // The captured trace is the only artifact that differs.
+    EXPECT_FALSE(with_trace.artifacts.trace_jsonl.empty());
+    EXPECT_EQ(harness::diff(plain.artifacts, with_trace.artifacts),
+              std::vector<std::string>{"trace_jsonl"});
 }
 
 }  // namespace

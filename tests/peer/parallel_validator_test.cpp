@@ -274,15 +274,13 @@ TEST(ParallelValidatorTest, PriorityWinVisibleEarlyDoesNotLeakAcrossOrder) {
 }
 
 TEST(ParallelValidatorTest, EndToEndNetworkMatchesSerialReference) {
-    // Full pipeline: two single-run experiments with identical seeds, one
-    // committing serially, one through the wave validator, must produce the
-    // same world state and hash chain on every peer.
+    // Full pipeline: two runs with identical seeds, one committing serially,
+    // one through the wave validator, must produce identical artifacts —
+    // metrics JSON, hash chain, world state, event count — and no violation.
     harness::ExperimentSpec spec;
     spec.config.channel.priority_enabled = true;
     spec.config.channel.block_size = 50;
     spec.config.channel.block_timeout = Duration::millis(300);
-    spec.runs = 1;
-    spec.base_seed = 91;
     spec.make_workload = [] {
         harness::Workload w;
         for (std::size_t c = 0; c < 3; ++c) {
@@ -300,30 +298,22 @@ TEST(ParallelValidatorTest, EndToEndNetworkMatchesSerialReference) {
     };
     spec.run_probe = [](core::FabricNetwork& net,
                         std::map<std::string, double>& extra) {
-        const auto& p = *net.peers().front();
-        extra["state_lo"] = static_cast<double>(p.state().fingerprint() & 0xFFFFFFFF);
-        extra["state_hi"] = static_cast<double>(p.state().fingerprint() >> 32);
-        extra["chain_lo"] =
-            static_cast<double>(p.chain().chain_fingerprint() & 0xFFFFFFFF);
-        extra["chain_hi"] = static_cast<double>(p.chain().chain_fingerprint() >> 32);
-        extra["valid"] = static_cast<double>(p.txs_valid());
-        extra["wave_blocks"] = static_cast<double>(p.blocks_wave_validated());
+        extra["wave_blocks"] =
+            static_cast<double>(net.peers().front()->blocks_wave_validated());
     };
 
-    const harness::AggregateResult serial = harness::run_experiment(spec);
+    const harness::RunResult serial = harness::run_once(spec, 91);
 
     ThreadPool pool(3);
     spec.config.peer_params.validation_mode = ValidationMode::kParallel;
     spec.config.peer_params.validation_pool = &pool;
-    const harness::AggregateResult parallel = harness::run_experiment(spec);
+    const harness::RunResult parallel = harness::run_once(spec, 91);
 
-    for (const char* key : {"state_lo", "state_hi", "chain_lo", "chain_hi", "valid"}) {
-        EXPECT_EQ(serial.extra_total(key), parallel.extra_total(key)) << key;
-    }
-    EXPECT_EQ(serial.extra_total("wave_blocks"), 0.0);
-    EXPECT_GT(parallel.extra_total("wave_blocks"), 0.0);
-    EXPECT_TRUE(serial.all_consistent);
-    EXPECT_TRUE(parallel.all_consistent);
+    EXPECT_EQ(harness::diff(serial.artifacts, parallel.artifacts),
+              std::vector<std::string>{});
+    EXPECT_EQ(serial.artifacts.violations, std::vector<std::string>{});
+    EXPECT_EQ(serial.extra.at("wave_blocks"), 0.0);
+    EXPECT_GT(parallel.extra.at("wave_blocks"), 0.0);
 }
 
 }  // namespace

@@ -1,28 +1,32 @@
 // Chaos integration for the Raft ordering backend: the full pipeline under
 // leader kills, minority partitions, lossy consensus windows and OSN
-// crash/restart replay — all from the deterministic fault schedule.  Asserts
-// the chaos_test invariant suite plus the Raft safety properties (committed
-// prefixes consistent across nodes, exactly-once apply, byte-identical
-// reruns), and the ISSUE's OSN-restart × term-change replay scenario.
+// crash/restart replay — all from the deterministic fault schedule.  Every
+// run goes through harness::run_once, so core::check_invariants judges it
+// (with the Raft safety properties: committed prefixes consistent across
+// nodes, nothing stuck in flight); on top come identical reruns and the
+// OSN-restart × term-change replay scenario.  Scenario assertions on the
+// drained network run inside `run_probe`.
 #include <gtest/gtest.h>
 
-#include <set>
-#include <sstream>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/fabric_network.h"
-#include "harness/workload.h"
+#include "harness/experiment.h"
 
 namespace fl {
 namespace {
 
-core::NetworkConfig raft_chaos_config(std::uint64_t seed) {
+using Names = std::vector<std::string>;
+using Probe = std::function<void(core::FabricNetwork&, std::map<std::string, double>&)>;
+
+core::NetworkConfig raft_chaos_config() {
     core::NetworkConfig cfg;
     cfg.orgs = 4;
     cfg.osns = 3;
     cfg.clients = 3;
-    cfg.seed = seed;
     cfg.endorsement_k = 2;
     cfg.ordering_backend = orderer::OrderingBackendKind::kRaft;
     cfg.channel.priority_enabled = true;
@@ -54,148 +58,83 @@ core::NetworkConfig raft_chaos_config(std::uint64_t seed) {
     return cfg;
 }
 
-struct Outcome {
-    std::vector<client::TxRecord> records;
-    core::MetricsCollector metrics;
-};
-
-Outcome drive(core::FabricNetwork& net, std::uint64_t total) {
-    Outcome out;
-    net.set_tx_sink([&out](const client::TxRecord& r) {
-        out.records.push_back(r);
-        out.metrics.record(r);
-    });
-    harness::Workload workload;
-    for (std::size_t c = 0; c < net.clients().size(); ++c) {
-        harness::LoadSpec load;
-        load.client_index = c;
-        load.tps = 50.0;
-        load.generate = harness::priority_class_mix({1, 2, 1});
-        workload.loads.push_back(std::move(load));
-    }
-    workload.distribute_total(total);
-    harness::WorkloadDriver driver(net, std::move(workload), Rng(net.config().seed));
-    driver.start();
-    net.run();
-    return out;
-}
-
-std::string metrics_json(const core::MetricsCollector& metrics) {
-    std::ostringstream os;
-    core::write_metrics_json(os, metrics);
-    return os.str();
-}
-
-void check_invariants(core::FabricNetwork& net, const Outcome& out) {
-    // The chaos_test suite: block-sequence agreement, verified chains, no
-    // double commit, exactly one terminal state per submission.
-    EXPECT_TRUE(net.osn_blocks_prefix_consistent());
-    bool all_alive = true;
-    for (const auto& osn : net.osns()) {
-        EXPECT_EQ(osn->replay_hash_mismatches(), 0u);
-        all_alive = all_alive && osn->alive();
-    }
-    EXPECT_TRUE(all_alive);
-    if (all_alive) {
-        EXPECT_TRUE(net.osn_blocks_identical());
-    }
-
-    for (const auto& peer : net.peers()) {
-        EXPECT_TRUE(peer->chain().verify_chain());
-        EXPECT_GT(peer->chain().height(), 0u);
-    }
-
-    const ledger::BlockStore& chain = net.peers().front()->chain();
-    std::set<TxId> committed;
-    for (std::size_t b = 0; b < chain.height(); ++b) {
-        const ledger::Block& block = chain.at(b);
-        ASSERT_EQ(block.validation_codes.size(), block.transactions.size());
-        for (std::size_t i = 0; i < block.transactions.size(); ++i) {
-            if (block.validation_codes[i] == TxValidationCode::kValid) {
-                EXPECT_TRUE(committed.insert(block.transactions[i].tx_id()).second)
-                    << "tx committed twice";
-            }
+/// harness::run_once of `total` txs at 50 tps per client; `probe` sees the
+/// drained network after the Raft checks below.
+harness::RunResult run(core::NetworkConfig cfg, std::uint64_t seed,
+                       std::uint64_t total, Probe probe = nullptr) {
+    harness::ExperimentSpec spec;
+    spec.config = std::move(cfg);
+    spec.make_workload = [total] {
+        harness::Workload workload;
+        for (std::size_t c = 0; c < 3; ++c) {
+            harness::LoadSpec load;
+            load.client_index = c;
+            load.tps = 50.0;
+            load.generate = harness::priority_class_mix({1, 2, 1});
+            workload.loads.push_back(std::move(load));
         }
-    }
-
-    std::uint64_t submitted = 0;
-    for (const auto& client : net.clients()) {
-        EXPECT_EQ(client->pending(), 0u);
-        EXPECT_EQ(client->submitted(),
-                  client->completed() + client->client_side_failures());
-        submitted += client->submitted();
-    }
-    EXPECT_EQ(out.metrics.total(), submitted);
-    EXPECT_EQ(out.records.size(), submitted);
-
-    // Raft safety on top: every pair of node logs agrees over the committed
-    // prefix, and nothing a client submitted is stuck in flight.
-    ASSERT_NE(net.raft_backend(), nullptr);
-    EXPECT_TRUE(net.raft_backend()->committed_prefixes_consistent());
-    EXPECT_EQ(net.raft_backend()->pending_submissions(), 0u);
+        workload.distribute_total(total);
+        return workload;
+    };
+    spec.run_probe = [probe = std::move(probe)](core::FabricNetwork& net,
+                                                std::map<std::string, double>& extra) {
+        // Every schedule here restarts what it crashes.
+        ASSERT_NE(net.raft_backend(), nullptr);
+        for (const auto& osn : net.osns()) EXPECT_TRUE(osn->alive());
+        extra["leader_changes"] = static_cast<double>(net.raft_backend()->leader_changes());
+        if (probe) probe(net, extra);
+    };
+    return harness::run_once(spec, seed);
 }
 
 TEST(RaftChaosTest, InvariantsHoldAcrossSeeds) {
-    std::uint64_t total_leader_changes = 0;
-    std::uint64_t total_dup_skips = 0;
+    double total_leader_changes = 0;
     for (std::uint64_t seed : {101u, 202u, 303u, 404u, 505u, 606u}) {
         SCOPED_TRACE("seed=" + std::to_string(seed));
-        core::FabricNetwork net(raft_chaos_config(seed));
-        EXPECT_FALSE(net.fault_schedule().empty());
-        const Outcome out = drive(net, 300);
-        check_invariants(net, out);
-        EXPECT_GT(net.faults_applied(), 0u);
-        total_leader_changes += net.raft_backend()->leader_changes();
-        total_dup_skips += net.raft_backend()->duplicate_commits_skipped();
+        const harness::RunResult r =
+            run(raft_chaos_config(), seed, 300, [](core::FabricNetwork& net, auto&) {
+                EXPECT_FALSE(net.fault_schedule().empty());
+                EXPECT_GT(net.faults_applied(), 0u);
+            });
+        EXPECT_EQ(r.artifacts.violations, Names{});
+        total_leader_changes += r.extra.at("leader_changes");
     }
     // The seed set must actually exercise failover (pinned by determinism):
-    // the cluster re-elected at least once, and the exactly-once guard is
-    // what kept those runs duplicate-free — not luck.
-    EXPECT_GT(total_leader_changes, 0u);
-    (void)total_dup_skips;  // may be 0 if every kill landed between batches
+    // the cluster re-elected at least once.
+    EXPECT_GT(total_leader_changes, 0.0);
 }
 
 TEST(RaftChaosTest, ChaosRunIsAPureFunctionOfConfigAndSeed) {
-    core::FabricNetwork a(raft_chaos_config(777));
-    core::FabricNetwork b(raft_chaos_config(777));
-    const Outcome ra = drive(a, 250);
-    const Outcome rb = drive(b, 250);
-    ASSERT_EQ(a.fault_schedule().size(), b.fault_schedule().size());
-    for (std::size_t i = 0; i < a.fault_schedule().size(); ++i) {
-        EXPECT_EQ(a.fault_schedule()[i].at, b.fault_schedule()[i].at);
-        EXPECT_EQ(a.fault_schedule()[i].kind, b.fault_schedule()[i].kind);
-        EXPECT_EQ(a.fault_schedule()[i].target, b.fault_schedule()[i].target);
-    }
-    // The entire consensus timeline replays: same elections, same terms,
-    // same winners, same message loss — then identical ledgers and bytes.
-    EXPECT_EQ(a.raft_backend()->elections_started(),
-              b.raft_backend()->elections_started());
-    EXPECT_EQ(a.raft_backend()->leader_changes(), b.raft_backend()->leader_changes());
-    EXPECT_EQ(a.raft_backend()->current_term(), b.raft_backend()->current_term());
-    EXPECT_EQ(a.raft_backend()->messages_dropped(),
-              b.raft_backend()->messages_dropped());
-    EXPECT_EQ(a.raft_backend()->consensus_messages(),
-              b.raft_backend()->consensus_messages());
-    EXPECT_EQ(a.peers().front()->chain().chain_fingerprint(),
-              b.peers().front()->chain().chain_fingerprint());
-    EXPECT_EQ(metrics_json(ra.metrics), metrics_json(rb.metrics));
+    // The entire consensus timeline replays — same elections, terms,
+    // winners and message loss — then identical artifacts.
+    const Probe timeline = [](core::FabricNetwork& net,
+                              std::map<std::string, double>& extra) {
+        const raft::RaftOrderingBackend& rb = *net.raft_backend();
+        extra["faults"] = static_cast<double>(net.fault_schedule().size());
+        extra["elections"] = static_cast<double>(rb.elections_started());
+        extra["term"] = static_cast<double>(rb.current_term());
+        extra["dropped"] = static_cast<double>(rb.messages_dropped());
+        extra["consensus_messages"] = static_cast<double>(rb.consensus_messages());
+    };
+    const harness::RunResult a = run(raft_chaos_config(), 777, 250, timeline);
+    const harness::RunResult b = run(raft_chaos_config(), 777, 250, timeline);
+    EXPECT_GT(a.extra.at("faults"), 0.0);
+    EXPECT_EQ(a.extra, b.extra);
+    EXPECT_EQ(harness::diff(a.artifacts, b.artifacts), Names{});
 }
 
 TEST(RaftChaosTest, DifferentSeedsGiveDifferentChaos) {
-    core::FabricNetwork a(raft_chaos_config(11));
-    core::FabricNetwork b(raft_chaos_config(12));
-    const Outcome ra = drive(a, 250);
-    const Outcome rb = drive(b, 250);
-    EXPECT_NE(metrics_json(ra.metrics), metrics_json(rb.metrics));
+    EXPECT_NE(run(raft_chaos_config(), 11, 250).artifacts.metrics_json,
+              run(raft_chaos_config(), 12, 250).artifacts.metrics_json);
 }
 
 TEST(RaftChaosTest, OsnRestartReplaysAcrossATermChange) {
-    // The ISSUE's combined scenario: OSN 1 crashes, the Raft leader is then
-    // killed (term change + re-election while the OSN is down), the cluster
-    // heals, and OSN 1 restarts.  Its replay reads the committed projection
-    // — which now spans two terms — and must rebuild the exact block
-    // sequence with zero hash mismatches and no double-counted records.
-    core::NetworkConfig cfg = raft_chaos_config(31);
+    // OSN 1 crashes, the Raft leader is then killed (term change +
+    // re-election while the OSN is down), the cluster heals, and OSN 1
+    // restarts.  Its replay reads the committed projection — which now spans
+    // two terms — and must rebuild the exact block sequence with zero hash
+    // mismatches and no double-counted records.
+    core::NetworkConfig cfg = raft_chaos_config();
     cfg.faults.profile.reset();
     cfg.faults.schedule = {
         {Duration::millis(700), fault::FaultKind::kOsnCrash, 1},
@@ -203,60 +142,47 @@ TEST(RaftChaosTest, OsnRestartReplaysAcrossATermChange) {
         {Duration::millis(1700), fault::FaultKind::kRaftNodeRestart, raft::kAllNodes},
         {Duration::millis(2400), fault::FaultKind::kOsnRestart, 1},
     };
-    core::FabricNetwork net(cfg);
-    const Outcome out = drive(net, 300);
-
-    EXPECT_EQ(net.faults_applied(), 4u);
-    EXPECT_EQ(net.osns()[1]->crashes(), 1u);
-    EXPECT_EQ(net.osns()[1]->restarts(), 1u);
-    EXPECT_EQ(net.osns()[1]->replay_hash_mismatches(), 0u);
-    EXPECT_TRUE(net.osns()[1]->alive());
-    EXPECT_TRUE(net.osn_blocks_identical());
-    EXPECT_TRUE(net.chains_identical());
-    EXPECT_TRUE(net.states_identical());
-
-    ASSERT_NE(net.raft_backend(), nullptr);
-    EXPECT_GE(net.raft_backend()->node_crashes(), 1u);
-    EXPECT_GE(net.raft_backend()->leader_changes(), 1u);
-    EXPECT_GE(net.raft_backend()->current_term(), 2u);
-    EXPECT_TRUE(net.raft_backend()->committed_prefixes_consistent());
-    check_invariants(net, out);
+    const harness::RunResult r = run(cfg, 31, 300, [](core::FabricNetwork& net, auto&) {
+        EXPECT_EQ(net.faults_applied(), 4u);
+        EXPECT_EQ(net.osns()[1]->crashes(), 1u);
+        EXPECT_EQ(net.osns()[1]->restarts(), 1u);
+        EXPECT_GE(net.raft_backend()->node_crashes(), 1u);
+        EXPECT_GE(net.raft_backend()->current_term(), 2u);
+    });
+    EXPECT_GE(r.extra.at("leader_changes"), 1.0);
+    EXPECT_EQ(r.artifacts.violations, Names{});
 }
 
 TEST(RaftChaosTest, PartitionedMinorityWindowKeepsSafety) {
     // Partition Raft node 0 (the bootstrap leader) for a window mid-run:
     // the majority side elects a successor and every submission accepted by
     // the stale leader is re-proposed — committed exactly once.
-    core::NetworkConfig cfg = raft_chaos_config(42);
+    core::NetworkConfig cfg = raft_chaos_config();
     cfg.faults.profile.reset();
     cfg.faults.schedule = {
         {Duration::millis(600), fault::FaultKind::kRaftPartition, 0},
         {Duration::millis(1400), fault::FaultKind::kRaftHeal, 0},
     };
-    core::FabricNetwork net(cfg);
-    const Outcome out = drive(net, 300);
-
-    EXPECT_EQ(net.faults_applied(), 2u);
-    ASSERT_NE(net.raft_backend(), nullptr);
-    EXPECT_GE(net.raft_backend()->leader_changes(), 1u);
-    EXPECT_GT(net.raft_backend()->leader_resubmissions(), 0u);
-    check_invariants(net, out);
+    const harness::RunResult r = run(cfg, 42, 300, [](core::FabricNetwork& net, auto&) {
+        EXPECT_EQ(net.faults_applied(), 2u);
+        EXPECT_GT(net.raft_backend()->leader_resubmissions(), 0u);
+    });
+    EXPECT_GE(r.extra.at("leader_changes"), 1.0);
+    EXPECT_EQ(r.artifacts.violations, Names{});
 }
 
 TEST(RaftChaosTest, LossyConsensusWindowRetriesToCompletion) {
-    core::NetworkConfig cfg = raft_chaos_config(7);
+    core::NetworkConfig cfg = raft_chaos_config();
     cfg.faults.profile.reset();
     cfg.faults.schedule = {
         {Duration::millis(200), fault::FaultKind::kRaftDrop, 0, 0.25},
         {Duration::millis(2500), fault::FaultKind::kRaftDrop, 0, 0.0},
     };
-    core::FabricNetwork net(cfg);
-    const Outcome out = drive(net, 300);
-
-    ASSERT_NE(net.raft_backend(), nullptr);
-    EXPECT_GT(net.raft_backend()->messages_dropped(), 0u);
-    EXPECT_EQ(net.raft_backend()->replication_lag(), 0u);
-    check_invariants(net, out);
+    const harness::RunResult r = run(cfg, 7, 300, [](core::FabricNetwork& net, auto&) {
+        EXPECT_GT(net.raft_backend()->messages_dropped(), 0u);
+        EXPECT_EQ(net.raft_backend()->replication_lag(), 0u);
+    });
+    EXPECT_EQ(r.artifacts.violations, Names{});
 }
 
 }  // namespace

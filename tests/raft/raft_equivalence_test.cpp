@@ -7,23 +7,21 @@
 // keeps that argument true.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "core/fabric_network.h"
-#include "harness/workload.h"
-#include "obs/trace.h"
+#include "harness/experiment.h"
 
 namespace fl {
 namespace {
 
-core::NetworkConfig base_config(orderer::OrderingBackendKind backend,
-                                std::uint64_t seed) {
+core::NetworkConfig base_config(orderer::OrderingBackendKind backend) {
     core::NetworkConfig cfg;
     cfg.orgs = 4;
     cfg.osns = 3;
     cfg.clients = 3;
-    cfg.seed = seed;
     cfg.ordering_backend = backend;
     cfg.channel.priority_enabled = true;
     cfg.channel.priority_levels = 3;
@@ -33,111 +31,89 @@ core::NetworkConfig base_config(orderer::OrderingBackendKind backend,
     return cfg;
 }
 
-struct Outcome {
-    std::vector<client::TxRecord> records;
-    core::MetricsCollector metrics;
-};
-
-Outcome drive(core::FabricNetwork& net, std::uint64_t total) {
-    Outcome out;
-    net.set_tx_sink([&out](const client::TxRecord& r) {
-        out.records.push_back(r);
-        out.metrics.record(r);
-    });
-    harness::Workload workload;
-    for (std::size_t c = 0; c < net.clients().size(); ++c) {
-        harness::LoadSpec load;
-        load.client_index = c;
-        load.tps = 50.0;
-        load.generate = harness::priority_class_mix({1, 2, 1});
-        workload.loads.push_back(std::move(load));
-    }
-    workload.distribute_total(total);
-    harness::WorkloadDriver driver(net, std::move(workload), Rng(net.config().seed));
-    driver.start();
-    net.run();
-    return out;
+/// harness::run_once on `backend` with a trace captured; the probe records
+/// the Raft cluster's term and election counters.
+harness::RunResult run(orderer::OrderingBackendKind backend, std::uint64_t seed,
+                       std::uint64_t total) {
+    harness::ExperimentSpec spec;
+    spec.config = base_config(backend);
+    spec.make_workload = [total] {
+        harness::Workload workload;
+        for (std::size_t c = 0; c < 3; ++c) {
+            harness::LoadSpec load;
+            load.client_index = c;
+            load.tps = 50.0;
+            load.generate = harness::priority_class_mix({1, 2, 1});
+            workload.loads.push_back(std::move(load));
+        }
+        workload.distribute_total(total);
+        return workload;
+    };
+    spec.capture_trace = true;
+    spec.run_probe = [](core::FabricNetwork& net, std::map<std::string, double>& extra) {
+        if (raft::RaftOrderingBackend* rb = net.raft_backend()) {
+            extra["term"] = static_cast<double>(rb->current_term());
+            extra["elections"] = static_cast<double>(rb->elections_started());
+            extra["leader_changes"] = static_cast<double>(rb->leader_changes());
+        }
+    };
+    return harness::run_once(spec, seed);
 }
 
-std::string metrics_json(const core::MetricsCollector& metrics) {
-    std::ostringstream os;
-    core::write_metrics_json(os, metrics);
-    return os.str();
-}
-
-std::string trace_jsonl(const obs::TraceSink& sink) {
-    std::ostringstream os;
-    sink.write_jsonl(os);
-    return os.str();
+/// Fields where a Raft run differs from the mq run, ignoring the event
+/// count: the Raft cluster runs its own consensus events.
+std::vector<std::string> backend_diff(const harness::RunResult& mq,
+                                      const harness::RunResult& rf) {
+    std::vector<std::string> fields = harness::diff(mq.artifacts, rf.artifacts);
+    std::erase(fields, std::string("events_executed"));
+    return fields;
 }
 
 TEST(RaftEquivalenceTest, FaultFreeRunsAreByteIdenticalAcrossBackends) {
     for (std::uint64_t seed : {11u, 42u, 1234u}) {
         SCOPED_TRACE("seed=" + std::to_string(seed));
-        core::FabricNetwork mq(base_config(orderer::OrderingBackendKind::kMq, seed));
-        core::FabricNetwork rf(base_config(orderer::OrderingBackendKind::kRaft, seed));
-        const Outcome om = drive(mq, 300);
-        const Outcome orf = drive(rf, 300);
+        const harness::RunResult mq = run(orderer::OrderingBackendKind::kMq, seed, 300);
+        const harness::RunResult rf = run(orderer::OrderingBackendKind::kRaft, seed, 300);
 
-        // Same terminal accounting, byte for byte.
-        EXPECT_EQ(metrics_json(om.metrics), metrics_json(orf.metrics));
-        ASSERT_EQ(om.records.size(), orf.records.size());
-
-        // Same ledgers on every peer, same block sequence on every OSN.
-        ASSERT_EQ(mq.peers().size(), rf.peers().size());
-        for (std::size_t p = 0; p < mq.peers().size(); ++p) {
-            EXPECT_EQ(mq.peers()[p]->chain().chain_fingerprint(),
-                      rf.peers()[p]->chain().chain_fingerprint());
-            EXPECT_EQ(mq.peers()[p]->state().fingerprint(),
-                      rf.peers()[p]->state().fingerprint());
-        }
-        ASSERT_EQ(mq.osns().size(), rf.osns().size());
-        for (std::size_t o = 0; o < mq.osns().size(); ++o) {
-            EXPECT_TRUE(mq.osns()[o]->block_hashes() == rf.osns()[o]->block_hashes());
-        }
+        // Same metrics JSON, trace and peer-0 ledger; no violations, so
+        // within each run every peer and every OSN agrees as well.
+        EXPECT_EQ(backend_diff(mq, rf), std::vector<std::string>{});
+        EXPECT_EQ(mq.artifacts.violations, std::vector<std::string>{});
+        EXPECT_GT(mq.artifacts.blocks, 0u);
 
         // A fault-free Raft run never leaves term 1: node 0 is the bootstrap
         // leader and nothing challenges it.
-        ASSERT_NE(rf.raft_backend(), nullptr);
-        EXPECT_EQ(rf.raft_backend()->current_term(), 1u);
-        EXPECT_EQ(rf.raft_backend()->elections_started(), 0u);
-        EXPECT_EQ(rf.raft_backend()->leader_changes(), 0u);
-        EXPECT_EQ(rf.raft_backend()->pending_submissions(), 0u);
-        EXPECT_EQ(mq.raft_backend(), nullptr);
+        EXPECT_EQ(rf.extra.at("term"), 1.0);
+        EXPECT_EQ(rf.extra.at("elections"), 0.0);
+        EXPECT_EQ(rf.extra.at("leader_changes"), 0.0);
+        EXPECT_TRUE(mq.extra.empty());
     }
 }
 
 TEST(RaftEquivalenceTest, TracesAreByteIdenticalAcrossBackends) {
-    core::FabricNetwork mq(base_config(orderer::OrderingBackendKind::kMq, 7));
-    core::FabricNetwork rf(base_config(orderer::OrderingBackendKind::kRaft, 7));
-    obs::TraceSink mq_trace;
-    obs::TraceSink rf_trace;
-    mq.set_trace_sink(&mq_trace);
-    rf.set_trace_sink(&rf_trace);
-    drive(mq, 200);
-    drive(rf, 200);
-    ASSERT_FALSE(mq_trace.empty());
+    const harness::RunResult mq = run(orderer::OrderingBackendKind::kMq, 7, 200);
+    const harness::RunResult rf = run(orderer::OrderingBackendKind::kRaft, 7, 200);
+    ASSERT_FALSE(mq.artifacts.trace_jsonl.empty());
     // No elections fire fault-free, so no Raft-typed events exist and the
     // append hook emits the same kEnqueue/kTtcEnqueue stream as the broker.
-    EXPECT_EQ(trace_jsonl(mq_trace), trace_jsonl(rf_trace));
+    EXPECT_EQ(mq.artifacts.trace_jsonl, rf.artifacts.trace_jsonl);
 }
 
-TEST(RaftEquivalenceTest, BrokerAccessorThrowsUnderRaft) {
-    core::FabricNetwork rf(base_config(orderer::OrderingBackendKind::kRaft, 7));
-    EXPECT_THROW((void)rf.broker(), std::logic_error);
-    EXPECT_NO_THROW((void)rf.ordering());
-    core::FabricNetwork mq(base_config(orderer::OrderingBackendKind::kMq, 7));
-    EXPECT_NO_THROW((void)mq.broker());
+TEST(RaftEquivalenceTest, OrderingAccessorServesBothBackends) {
+    for (const auto backend :
+         {orderer::OrderingBackendKind::kMq, orderer::OrderingBackendKind::kRaft}) {
+        core::FabricNetwork net(base_config(backend));
+        const auto& channel = net.config().channel;
+        for (std::uint32_t l = 0; l < channel.effective_levels(); ++l) {
+            EXPECT_TRUE(net.ordering().has_topic(channel.topic_for_level(l)));
+        }
+    }
 }
 
 TEST(RaftEquivalenceTest, RaftRunIsAPureFunctionOfConfigAndSeed) {
-    core::FabricNetwork a(base_config(orderer::OrderingBackendKind::kRaft, 99));
-    core::FabricNetwork b(base_config(orderer::OrderingBackendKind::kRaft, 99));
-    const Outcome ra = drive(a, 200);
-    const Outcome rb = drive(b, 200);
-    EXPECT_EQ(metrics_json(ra.metrics), metrics_json(rb.metrics));
-    EXPECT_EQ(a.peers().front()->chain().chain_fingerprint(),
-              b.peers().front()->chain().chain_fingerprint());
+    EXPECT_EQ(harness::diff(run(orderer::OrderingBackendKind::kRaft, 99, 200).artifacts,
+                            run(orderer::OrderingBackendKind::kRaft, 99, 200).artifacts),
+              std::vector<std::string>{});
 }
 
 }  // namespace
