@@ -51,21 +51,47 @@ inline core::NetworkConfig paper_config(bool priority_enabled,
     return cfg;
 }
 
-/// The paper's workload: total rate split evenly over the clients, each
-/// submitting the 1:2:1 high:med:low chaincode mix.
-inline harness::Workload paper_workload(std::size_t clients, double total_tps,
-                                        std::uint64_t total_txs,
-                                        std::vector<double> arrival_ratio = {1, 2, 1}) {
+/// The scale harness's small network (2 orgs, 1 OSN, 2 clients, block size
+/// 500, 250 ms timeout): the world state, not the protocol, is under test.
+inline core::NetworkConfig state_config() {
+    core::NetworkConfig cfg;
+    cfg.orgs = 2;
+    cfg.peers_per_org = 1;
+    cfg.osns = 1;
+    cfg.clients = 2;
+    cfg.channel.priority_enabled = true;
+    cfg.channel.priority_levels = 3;
+    cfg.channel.consolidation_spec = "kofn:2";
+    cfg.channel.block_size = 500;
+    cfg.channel.block_timeout = Duration::millis(250);
+    return cfg;
+}
+
+/// Total rate and transaction count split evenly over the clients, each
+/// drawing from its own generator made by `generator`.
+template <typename MakeGenerator>
+harness::Workload even_workload(std::size_t clients, double total_tps,
+                                std::uint64_t total_txs, MakeGenerator generator) {
     harness::Workload w;
     for (std::size_t c = 0; c < clients; ++c) {
         harness::LoadSpec load;
         load.client_index = c;
         load.tps = total_tps / static_cast<double>(clients);
-        load.generate = harness::priority_class_mix(arrival_ratio);
+        load.generate = generator();
         w.loads.push_back(std::move(load));
     }
     w.distribute_total(total_txs);
     return w;
+}
+
+/// The paper's workload: total rate split evenly over the clients, each
+/// submitting the 1:2:1 high:med:low chaincode mix.
+inline harness::Workload paper_workload(std::size_t clients, double total_tps,
+                                        std::uint64_t total_txs,
+                                        std::vector<double> arrival_ratio = {1, 2, 1}) {
+    return even_workload(clients, total_tps, total_txs, [&arrival_ratio] {
+        return harness::priority_class_mix(arrival_ratio);
+    });
 }
 
 /// One sweep point running the paper workload against `cfg`.  Points with

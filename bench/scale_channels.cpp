@@ -1,22 +1,15 @@
-// Channel-scaling sweep + serial-vs-parallel equivalence gate (A10).
+// Channel-scaling sweep (A10).
 //
 // Sweeps the channel count 1 → 16 (paper-default per-channel config and
-// workload) and runs every point through BOTH engines of
-// core::MultiChannelNetwork:
+// workload) through the channel-sharded engine of core::MultiChannelNetwork
+// (one pool worker per channel inside each sync window, --threads) and
+// reports committed totals, sync windows and cross-channel fairness.  That
+// the engine is byte-identical to the serial one (DESIGN.md §16) is gated
+// by bench/equivalence; this bench is still a safety gate: any channel's
+// core::check_invariants violation prints INVARIANT VIOLATION and exits 1.
 //
-//   serial    — channels advance in index order within each sync window;
-//   parallel  — one pool worker per channel inside each window (--threads).
-//
-// Per point, harness::diff compares every channel's artifacts (metrics
-// JSON, trace JSONL, chain/state fingerprints, counts, invariant
-// violations) and the cross-channel meter series is compared too.  Any
-// divergence or violation prints CHANNEL EQUIVALENCE VIOLATION and exits 1
-// — channel sharding is an engine optimization, never an observable
-// (DESIGN.md §16).  The 1-channel point is additionally diffed against
-// harness::run_once on the same config and seed.
-//
-// Wall-clock timings and the speedup column are host-dependent and stay on
-// stdout only; the BENCH_*.json bytes depend on --seed alone.
+// Wall-clock timings are host-dependent and stay on stdout only; the
+// BENCH_*.json bytes depend on --seed alone.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -30,36 +23,7 @@
 #include "common/thread_pool.h"
 #include "harness/channels.h"
 
-namespace {
-
 using Clock = std::chrono::steady_clock;
-
-/// Per-channel artifact diffs (plus invariant violations) and the meter
-/// comparison of two engine results; empty = equivalent.
-std::vector<std::string> diff_runs(const fl::harness::MultiChannelResult& a,
-                                   const fl::harness::MultiChannelResult& b) {
-    std::vector<std::string> diffs;
-    if (a.channels.size() != b.channels.size()) {
-        diffs.push_back("channel count mismatch");
-        return diffs;
-    }
-    for (std::size_t i = 0; i < a.channels.size(); ++i) {
-        const std::string tag = "ch" + std::to_string(a.channels[i].id.value());
-        for (const std::string& field :
-             fl::harness::diff(a.channels[i].artifacts, b.channels[i].artifacts)) {
-            diffs.push_back(tag + " " + field);
-        }
-        for (const std::string& v : a.channels[i].artifacts.violations) {
-            diffs.push_back(tag + " invariant " + v);
-        }
-    }
-    if (a.events_executed != b.events_executed) diffs.push_back("event count");
-    if (a.windows != b.windows) diffs.push_back("window count");
-    if (!(a.meter == b.meter)) diffs.push_back("cross-channel meter series");
-    return diffs;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
     fl::harness::BenchFlag channels_flag{
@@ -82,14 +46,13 @@ int main(int argc, char** argv) {
 
     fl::harness::print_banner(
         std::cout, "scale_channels: channel-sharded engine scaling",
-        "serial vs parallel byte equivalence at every channel count");
+        "channel-sharded engine at every channel count");
 
     fl::ThreadPool pool(cli.threads);
     const unsigned pool_size = static_cast<unsigned>(pool.size());
 
     fl::harness::Table table({"channels", "committed", "windows", "jain(ch)",
-                              "jain(client)", "serial s*", "parallel s*",
-                              "speedup*", "equal"});
+                              "jain(client)", "drain s*"});
 
     std::ostringstream json;
     fl::JsonWriter jw(json);
@@ -114,52 +77,33 @@ int main(int argc, char** argv) {
             return fl::bench::paper_workload(clients, tps, txs_per_channel);
         };
         spec.seed = cli.base_seed;
-        spec.capture_trace = true;
 
-        const fl::harness::MultiChannelResult serial =
-            fl::harness::run_multi_channel(spec, nullptr);
-        const fl::harness::MultiChannelResult parallel =
+        const fl::harness::MultiChannelResult run =
             fl::harness::run_multi_channel(spec, &pool);
-
-        std::vector<std::string> diffs = diff_runs(serial, parallel);
-        if (n == 1) {
-            fl::harness::ExperimentSpec legacy;
-            legacy.config = spec.config.channel_config(0);
-            legacy.make_workload = [&spec] { return spec.make_workload(0); };
-            legacy.capture_trace = true;
-            for (const std::string& field : fl::harness::diff(
-                     parallel.channels[0].artifacts,
-                     fl::harness::run_once(legacy, spec.seed).artifacts)) {
-                diffs.push_back("legacy " + field);
-            }
+        for (const auto& ch : run.channels) {
+            if (ch.artifacts.violations.empty()) continue;
+            all_ok = false;
+            std::cout << "INVARIANT VIOLATION (" << n << " channels, ch"
+                      << ch.id.value() << "):";
+            for (const std::string& v : ch.artifacts.violations) std::cout << " " << v;
+            std::cout << "\n";
         }
-        for (const std::string& d : diffs) {
-            std::cout << "DIVERGENCE (" << n << " channels): " << d << "\n";
-        }
-        const bool ok = diffs.empty();
-        all_ok = all_ok && ok;
 
-        const auto& meter = parallel.meter;
+        const auto& meter = run.meter;
         std::uint64_t committed = 0;
         for (const std::uint64_t c : meter.committed_per_channel) committed += c;
 
         table.add_row(
             {std::to_string(n), std::to_string(committed),
-             std::to_string(parallel.windows),
+             std::to_string(run.windows),
              fl::harness::fmt(meter.channel_jain_overall(), 3),
              fl::harness::fmt(meter.client_jain_overall(), 3),
-             fl::harness::fmt(serial.drain_wall_s, 2),
-             fl::harness::fmt(parallel.drain_wall_s, 2),
-             fl::harness::fmt(parallel.drain_wall_s > 0.0
-                                  ? serial.drain_wall_s / parallel.drain_wall_s
-                                  : 0.0,
-                              2),
-             ok ? "OK" : "MISMATCH"});
+             fl::harness::fmt(run.drain_wall_s, 2)});
 
         jw.begin_object();
         jw.field("channels", static_cast<std::uint64_t>(n));
-        jw.field("windows", parallel.windows);
-        jw.field("events", parallel.events_executed);
+        jw.field("windows", run.windows);
+        jw.field("events", run.events_executed);
         jw.field("committed_total", committed);
         jw.key("committed_per_channel");
         jw.begin_array();
@@ -172,11 +116,10 @@ int main(int argc, char** argv) {
         jw.field("client_jain_min", meter.client_jain_min);
         jw.key("chain_fingerprints");
         jw.begin_array();
-        for (const auto& ch : parallel.channels) {
+        for (const auto& ch : run.channels) {
             jw.value(fl::bench::hex64(ch.artifacts.chain_fingerprint));
         }
         jw.end_array();
-        jw.field("equal", ok);
         jw.end_object();
     }
     jw.end_array();
@@ -186,7 +129,7 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     const double wall =
         std::chrono::duration<double>(Clock::now() - started).count();
-    std::cout << "\n*wall-clock columns time the drain only and are "
+    std::cout << "\n*the wall-clock column times the drain only and is "
                  "host-dependent (stdout only, never JSON).  Pool: "
               << pool_size << " worker(s).\n";
     fl::harness::print_sweep_footer(std::cout, counts.size(), pool_size, wall);
@@ -197,9 +140,5 @@ int main(int argc, char** argv) {
         std::cout << "wrote " << cli.json_path << "\n";
     }
 
-    if (!all_ok) {
-        std::cout << "CHANNEL EQUIVALENCE VIOLATION (see divergences above)\n";
-        return 1;
-    }
-    return 0;
+    return all_ok ? 0 : 1;
 }

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "client/client.h"
 #include "common/time.h"
@@ -30,23 +29,15 @@ inline constexpr std::uint64_t kClientNodeBase = 300;
 inline constexpr std::uint64_t kBrokerNode = 9000;
 
 /// How a channel's components map onto partition groups (DESIGN.md §17).
+/// The layout NEVER changes the simulated execution (event keys are
+/// layout-independent); it only decides which node groups may advance
+/// concurrently.  The ordering service (broker or Raft cluster + every OSN)
+/// always shares one group: OSNs call into the backend synchronously
+/// (subscribe replay, produce, read).
 enum class PartitionScheme : std::uint8_t {
     kSingle,   ///< one group — the serial engine (default)
     kRoles,    ///< clients | one group per peer org | ordering service
     kPerNode,  ///< each client and each peer alone; ordering service together
-    kCustom,   ///< explicit node→group map (`PartitionConfig::groups`)
-};
-
-/// Partition layout for one channel.  The layout NEVER changes the
-/// simulated execution (event keys are layout-independent); it only decides
-/// which node groups may advance concurrently.  The ordering service
-/// (broker or Raft cluster + every OSN) must share one group: OSNs call
-/// into the backend synchronously (subscribe replay, produce, read).
-struct PartitionConfig {
-    PartitionScheme scheme = PartitionScheme::kSingle;
-    /// kCustom only: node id value → group index (0-based, contiguous).
-    /// Nodes absent from the map are rejected at build time.
-    std::map<std::uint64_t, std::size_t> groups;
 };
 
 struct NetworkConfig {
@@ -92,10 +83,11 @@ struct NetworkConfig {
 
     /// Node-group partition layout for the intra-channel parallel engine
     /// (DESIGN.md §17).  Byte-identical output at every layout; kSingle
-    /// runs the plain single-simulator loop.  Configs that arm message
-    /// faults or attach a global-order audit are demoted to kSingle at
-    /// build time (both observe cross-group shared state).
-    PartitionConfig partition;
+    /// runs the plain single-simulator loop.  A multi-group layout rejects
+    /// what observes cross-group shared state: message faults throw
+    /// std::invalid_argument at build time, a global-order audit throws
+    /// std::logic_error from FabricNetwork::set_audit.
+    PartitionScheme partition = PartitionScheme::kSingle;
 
     /// Total number of peers in the network.
     [[nodiscard]] std::uint32_t total_peers() const { return orgs * peers_per_org; }

@@ -39,106 +39,46 @@ sim::Simulator& FabricNetwork::simulator() {
 }
 
 FabricNetwork::PartitionPlan FabricNetwork::resolve_partition_plan() const {
-    // All node addresses in this network, by role.  The ordering service —
-    // every OSN plus the broker or the whole Raft cluster — must share one
-    // group: OSNs call into the backend synchronously (core/config.h).
-    std::vector<std::uint64_t> client_nodes;
-    std::vector<std::uint64_t> peer_nodes;
-    std::vector<std::uint64_t> ordering_nodes;
-    for (std::uint32_t c = 0; c < config_.clients; ++c) {
-        client_nodes.push_back(kClientNodeBase + c);
+    // Message faults draw per-send from one shared fault stream — a
+    // cross-group hazard — so a multi-group layout refuses them.
+    if (config_.faults.messages.any() && config_.partition != PartitionScheme::kSingle) {
+        throw std::invalid_argument(
+            "NetworkConfig: message faults share one fault stream across "
+            "senders — run them on PartitionScheme::kSingle");
     }
-    for (std::uint32_t i = 0; i < config_.total_peers(); ++i) {
-        peer_nodes.push_back(kPeerNodeBase + i);
+
+    const PartitionScheme scheme = config_.partition;
+    const std::size_t clients = config_.clients;
+    const std::size_t peers = config_.total_peers();
+    PartitionPlan plan;
+    // kRoles: clients | one group per peer org | ordering service;
+    // kPerNode: each client | each peer | ordering service.
+    plan.group_count = scheme == PartitionScheme::kSingle  ? 1
+                       : scheme == PartitionScheme::kRoles ? config_.orgs + 2
+                                                           : clients + peers + 1;
+    plan.ordering_group = plan.group_count - 1;
+    std::map<std::uint64_t, std::size_t> groups;  // node -> group, in node order
+    for (std::size_t c = 0; c < clients; ++c) {
+        groups[kClientNodeBase + c] = scheme == PartitionScheme::kPerNode ? c : 0;
     }
+    for (std::size_t i = 0; i < peers; ++i) {
+        std::size_t& group = groups[kPeerNodeBase + i];
+        if (scheme == PartitionScheme::kRoles) group = 1 + i / config_.peers_per_org;
+        if (scheme == PartitionScheme::kPerNode) group = clients + i;
+    }
+    // The ordering service — every OSN plus the broker or the whole Raft
+    // cluster — takes the last group whole: OSNs call into the backend
+    // synchronously (core/config.h).
     for (std::uint32_t i = 0; i < config_.osns; ++i) {
-        ordering_nodes.push_back(kOsnNodeBase + i);
+        groups[kOsnNodeBase + i] = plan.ordering_group;
     }
     if (config_.ordering_backend == orderer::OrderingBackendKind::kRaft) {
         // Raft node 0 shares the broker's well-known address (raft/raft.h).
         for (std::uint32_t i = 0; i < config_.raft.nodes; ++i) {
-            ordering_nodes.push_back(raft::kRaftNodeBase + i);
+            groups[raft::kRaftNodeBase + i] = plan.ordering_group;
         }
     } else {
-        ordering_nodes.push_back(kBrokerNode);
-    }
-
-    // Message faults draw per-send from one shared fault stream — a
-    // cross-group hazard — so such configs demote to the serial engine
-    // (byte-identical by the partition-equivalence contract anyway).
-    PartitionScheme scheme = config_.partition.scheme;
-    if (config_.faults.messages.any()) {
-        scheme = PartitionScheme::kSingle;
-    }
-
-    std::map<std::uint64_t, std::size_t> groups;  // node -> group (deduped)
-    PartitionPlan plan;
-    switch (scheme) {
-    case PartitionScheme::kSingle:
-        plan.group_count = 1;
-        plan.ordering_group = 0;
-        for (const std::uint64_t n : client_nodes) groups[n] = 0;
-        for (const std::uint64_t n : peer_nodes) groups[n] = 0;
-        for (const std::uint64_t n : ordering_nodes) groups[n] = 0;
-        break;
-    case PartitionScheme::kRoles:
-        // clients | one group per peer org | ordering service.
-        plan.group_count = static_cast<std::size_t>(config_.orgs) + 2;
-        plan.ordering_group = plan.group_count - 1;
-        for (const std::uint64_t n : client_nodes) groups[n] = 0;
-        for (std::size_t i = 0; i < peer_nodes.size(); ++i) {
-            groups[peer_nodes[i]] = 1 + i / config_.peers_per_org;
-        }
-        for (const std::uint64_t n : ordering_nodes) groups[n] = plan.ordering_group;
-        break;
-    case PartitionScheme::kPerNode:
-        plan.group_count = client_nodes.size() + peer_nodes.size() + 1;
-        plan.ordering_group = plan.group_count - 1;
-        for (std::size_t c = 0; c < client_nodes.size(); ++c) {
-            groups[client_nodes[c]] = c;
-        }
-        for (std::size_t i = 0; i < peer_nodes.size(); ++i) {
-            groups[peer_nodes[i]] = client_nodes.size() + i;
-        }
-        for (const std::uint64_t n : ordering_nodes) groups[n] = plan.ordering_group;
-        break;
-    case PartitionScheme::kCustom: {
-        const auto& m = config_.partition.groups;
-        const auto lookup = [&m](std::uint64_t node) {
-            const auto it = m.find(node);
-            if (it == m.end()) {
-                throw std::invalid_argument(
-                    "PartitionConfig::groups: node " + std::to_string(node) +
-                    " has no group assignment");
-            }
-            return it->second;
-        };
-        for (const std::uint64_t n : client_nodes) groups[n] = lookup(n);
-        for (const std::uint64_t n : peer_nodes) groups[n] = lookup(n);
-        // One entry (any ordering address) places the whole ordering
-        // service; split assignments are rejected.
-        plan.ordering_group = lookup(ordering_nodes.front());
-        for (const std::uint64_t n : ordering_nodes) {
-            if (const auto it = m.find(n);
-                it != m.end() && it->second != plan.ordering_group) {
-                throw std::invalid_argument(
-                    "PartitionConfig::groups: the ordering service (OSNs + "
-                    "broker/Raft) must share one group");
-            }
-            groups[n] = plan.ordering_group;
-        }
-        std::size_t max_group = 0;
-        for (const auto& [node, g] : groups) max_group = std::max(max_group, g);
-        plan.group_count = max_group + 1;
-        std::vector<char> used(plan.group_count, 0);
-        for (const auto& [node, g] : groups) used[g] = 1;
-        if (std::find(used.begin(), used.end(), 0) != used.end()) {
-            throw std::invalid_argument(
-                "PartitionConfig::groups: group indices must be contiguous "
-                "starting at 0");
-        }
-        break;
-    }
+        groups[kBrokerNode] = plan.ordering_group;
     }
     plan.node_group.assign(groups.begin(), groups.end());
     return plan;

@@ -5,7 +5,7 @@
 // trace JSONL, ledger fingerprints and invariant violations.
 //
 // Parity contract (tested in tests/core/multi_channel_test.cpp and gated in
-// bench/scale_channels): the serial engine (pool == nullptr) and the
+// bench/equivalence): the serial engine (pool == nullptr) and the
 // parallel engine produce bit-identical artifacts for every channel, and a
 // fault-free 1-channel run is bit-identical to harness::run_once on the
 // same config+seed: harness::diff of the two bundles is empty.  That holds

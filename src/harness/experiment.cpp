@@ -26,12 +26,6 @@ RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
                    unsigned run_index, ThreadPool* pool) {
     core::NetworkConfig config = spec.config;
     config.seed = seed;
-    if (spec.audit) {
-        // The audit accountant observes global order across every component,
-        // so audited runs use the serial engine.  Sound by the partition-
-        // equivalence contract: the engines are byte-identical.
-        config.partition = {};
-    }
     obs::TraceSink trace;  // outlives the network that points at it
     core::FabricNetwork net(config);
 

@@ -131,10 +131,10 @@ struct AggregateResult {
 /// 0x574B4C44)) → start → trace → instrument → drain → audit finalize →
 /// core::check_invariants → run_probe → artifacts.  `run_index` is forwarded
 /// to ExperimentSpec::instrument.  `pool` parallelizes partition groups when
-/// the config requests a multi-group layout (core::PartitionConfig);
-/// results are byte-identical at every pool size, including null.  Specs
-/// with an audit run on the serial engine (the accountant observes global
-/// order), which changes nothing by the same equivalence contract.
+/// the config requests a multi-group layout (core::PartitionScheme);
+/// results are byte-identical at every pool size, including null.  An
+/// audit needs the serial engine (the accountant observes global order):
+/// an audited multi-group spec throws std::logic_error.
 [[nodiscard]] RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
                                  unsigned run_index = 0,
                                  ThreadPool* pool = nullptr);

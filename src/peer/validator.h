@@ -27,7 +27,7 @@
 //     concurrently, wave by wave.  The outcome — codes, counters, applied
 //     state — is bit-identical to kSerial at any pool size; the equivalence
 //     argument is spelled out in DESIGN.md §12 and enforced by the
-//     differential tests and bench/ablation_validation.
+//     differential tests and bench/equivalence.
 #pragma once
 
 #include <unordered_set>

@@ -51,7 +51,7 @@ void Network::set_message_faults(MessageFaultParams params, Rng rng) {
     if (partitions_ != nullptr && partitions_->group_count() > 1) {
         throw std::logic_error(
             "Network: message faults share sender state — run single-group "
-            "(the engine demotes message-fault configs to one partition)");
+            "(FabricNetwork rejects message faults on multi-group layouts)");
     }
     faults_ = params;
     fault_rng_ = rng;

@@ -94,8 +94,8 @@ public:
     /// Arms message faults on the unreliable path.  `rng` seeds the fault
     /// decision stream (independent of the jitter stream).  Rejected when
     /// more than one partition group is attached: the fault state is shared
-    /// across senders, so fault runs execute single-group (the engine
-    /// demotes such configs to one partition).
+    /// across senders, so fault runs execute single-group (FabricNetwork
+    /// rejects message faults on multi-group layouts at build time).
     void set_message_faults(MessageFaultParams params, Rng rng);
 
     /// Delivers a message of `size_bytes` from `from` to `to`, invoking

@@ -36,7 +36,7 @@ NetworkConfig small_config(std::uint64_t seed, PartitionScheme scheme) {
     cfg.osns = 2;
     cfg.clients = 2;
     cfg.seed = seed;
-    cfg.partition.scheme = scheme;
+    cfg.partition = scheme;
     return cfg;
 }
 
@@ -162,48 +162,6 @@ TEST(PartitionedEngineTest, WindowSteppingDoesNotChangeOutput) {
     expect_identical(whole, coarse);
 }
 
-TEST(PartitionedEngineTest, CustomLayoutMatchesSerial) {
-    NetworkConfig cfg = small_config(42, PartitionScheme::kCustom);
-    // Irregular split: client 0 + org-0 peer | client 1 | ordering + org-1
-    // peer.  Ordering only has to be together, not alone.
-    cfg.partition.groups = {
-        {kClientNodeBase + 0, 0}, {kPeerNodeBase + 0, 0},
-        {kClientNodeBase + 1, 1},
-        {kPeerNodeBase + 1, 2},   {kOsnNodeBase + 0, 2},
-        {kOsnNodeBase + 1, 2},    {kBrokerNode, 2},
-    };
-    const RunOutput part = drive(std::move(cfg));
-    EXPECT_EQ(part.groups, 3u);
-    const RunOutput serial = drive(small_config(42, PartitionScheme::kSingle));
-    expect_identical(serial, part);
-}
-
-TEST(PartitionedEngineTest, CustomLayoutValidation) {
-    {  // missing node assignment
-        NetworkConfig cfg = small_config(1, PartitionScheme::kCustom);
-        cfg.partition.groups = {{kClientNodeBase, 0}};
-        EXPECT_THROW(FabricNetwork net(cfg), std::invalid_argument);
-    }
-    {  // ordering service split across groups
-        NetworkConfig cfg = small_config(1, PartitionScheme::kCustom);
-        for (std::uint64_t c = 0; c < 2; ++c) cfg.partition.groups[kClientNodeBase + c] = 0;
-        for (std::uint64_t p = 0; p < 2; ++p) cfg.partition.groups[kPeerNodeBase + p] = 0;
-        cfg.partition.groups[kOsnNodeBase + 0] = 1;
-        cfg.partition.groups[kOsnNodeBase + 1] = 2;
-        cfg.partition.groups[kBrokerNode] = 1;
-        EXPECT_THROW(FabricNetwork net(cfg), std::invalid_argument);
-    }
-    {  // non-contiguous group indices
-        NetworkConfig cfg = small_config(1, PartitionScheme::kCustom);
-        for (std::uint64_t c = 0; c < 2; ++c) cfg.partition.groups[kClientNodeBase + c] = 0;
-        for (std::uint64_t p = 0; p < 2; ++p) cfg.partition.groups[kPeerNodeBase + p] = 0;
-        cfg.partition.groups[kOsnNodeBase + 0] = 5;
-        cfg.partition.groups[kOsnNodeBase + 1] = 5;
-        cfg.partition.groups[kBrokerNode] = 5;
-        EXPECT_THROW(FabricNetwork net(cfg), std::invalid_argument);
-    }
-}
-
 TEST(PartitionedEngineTest, ComponentFaultScheduleMatchesSerial) {
     const auto with_faults = [](PartitionScheme scheme) {
         NetworkConfig cfg = small_config(42, scheme);
@@ -237,15 +195,16 @@ TEST(PartitionedEngineTest, RaftBackendMatchesSerial) {
     expect_identical(serial, part);
 }
 
-TEST(PartitionedEngineTest, MessageFaultsDemoteToSerialEngine) {
+TEST(PartitionedEngineTest, MessageFaultsRejectMultiGroupLayouts) {
     // Per-message fault draws consume one shared rng stream in global send
-    // order — unsafe across concurrent groups, so the build demotes to the
-    // serial engine rather than silently diverging.
+    // order — unsafe across concurrent groups, so the build refuses the
+    // combination instead of silently running something else.
     NetworkConfig cfg = small_config(1, PartitionScheme::kRoles);
     cfg.faults.messages.drop_prob = 0.01;
+    EXPECT_THROW(FabricNetwork net(cfg), std::invalid_argument);
+    cfg.partition = PartitionScheme::kSingle;
     FabricNetwork net(cfg);
     EXPECT_EQ(net.partition_groups(), 1u);
-    EXPECT_NO_THROW(net.simulator());
 }
 
 TEST(PartitionedEngineTest, MultiGroupRejectsGlobalOrderObservers) {

@@ -197,6 +197,28 @@ TEST(ExperimentTest, ValidatesSpec) {
     EXPECT_THROW((void)run_experiment(spec), std::invalid_argument);
 }
 
+TEST(ExperimentTest, AuditedMultiGroupSpecThrows) {
+    // The audit accountant observes global order: run_once surfaces
+    // set_audit's refusal instead of quietly switching engines.
+    ExperimentSpec spec;
+    spec.config = tiny_config();
+    spec.config.partition = core::PartitionScheme::kRoles;
+    spec.make_workload = [] {
+        Workload w;
+        LoadSpec load;
+        load.client_index = 0;
+        load.tps = 100.0;
+        load.total_txs = 10;
+        load.generate = single_chaincode("record_keeper");
+        w.loads.push_back(std::move(load));
+        return w;
+    };
+    spec.audit = obs::audit::AuditConfig{};
+    EXPECT_THROW((void)run_once(spec, 7), std::logic_error);
+    spec.config.partition = core::PartitionScheme::kSingle;
+    EXPECT_TRUE(run_once(spec, 7).audit.has_value());
+}
+
 TEST(ReportTest, TableRendersAligned) {
     Table t({"name", "value"});
     t.add_row({"alpha", "1.0"});

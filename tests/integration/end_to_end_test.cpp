@@ -1,11 +1,14 @@
 // End-to-end integration: full networks driving the complete paper pipeline.
+//
+// Every run goes through harness::run_once, so core::check_invariants judges
+// it too; scenario assertions on the drained network run inside `run_probe`.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "core/fabric_network.h"
-#include "core/invariants.h"
+#include "harness/experiment.h"
 #include "harness/workload.h"
 
 namespace fl {
@@ -25,85 +28,82 @@ core::NetworkConfig small_config(bool priority_enabled, std::uint64_t seed = 11)
     return cfg;
 }
 
-struct Outcome {
-    std::vector<client::TxRecord> records;
-    core::MetricsCollector metrics;
-};
+/// `total` txs at `tps_per_client` per client, each client drawing from
+/// `gen_factory` (default: the 1:2:1 priority-class mix).
+harness::ExperimentSpec spec_for(core::NetworkConfig cfg, std::uint64_t total,
+                                 double tps_per_client,
+                                 harness::TxGenerator (*gen_factory)() = nullptr) {
+    harness::ExperimentSpec spec;
+    spec.config = std::move(cfg);
+    spec.make_workload = [clients = spec.config.clients, total, tps_per_client,
+                          gen_factory] {
+        harness::Workload workload;
+        for (std::size_t c = 0; c < clients; ++c) {
+            harness::LoadSpec load;
+            load.client_index = c;
+            load.tps = tps_per_client;
+            load.generate = gen_factory ? gen_factory()
+                                        : harness::priority_class_mix({1, 2, 1});
+            workload.loads.push_back(std::move(load));
+        }
+        workload.distribute_total(total);
+        return workload;
+    };
+    return spec;
+}
 
-Outcome drive(core::FabricNetwork& net, std::uint64_t total, double tps_per_client,
-          harness::TxGenerator (*gen_factory)() = nullptr) {
-    Outcome out;
-    net.set_tx_sink([&out](const client::TxRecord& r) {
-        out.records.push_back(r);
-        out.metrics.record(r);
-    });
-    harness::Workload workload;
-    for (std::size_t c = 0; c < net.clients().size(); ++c) {
-        harness::LoadSpec load;
-        load.client_index = c;
-        load.tps = tps_per_client;
-        load.generate = gen_factory ? gen_factory()
-                                    : harness::priority_class_mix({1, 2, 1});
-        workload.loads.push_back(std::move(load));
-    }
-    workload.distribute_total(total);
-    harness::WorkloadDriver driver(net, std::move(workload), Rng(net.config().seed));
-    driver.start();
-    net.run();
-    return out;
+/// harness::run_once at the config's own seed.
+harness::RunResult run(const harness::ExperimentSpec& spec) {
+    return harness::run_once(spec, spec.config.seed);
 }
 
 TEST(EndToEndTest, AllTransactionsCommitUnderLightLoad) {
-    core::FabricNetwork net(small_config(true));
-    const Outcome out = drive(net, 300, 50.0);
-    EXPECT_EQ(out.metrics.committed_valid(), 300u);
-    EXPECT_EQ(out.metrics.committed_invalid(), 0u);
-    EXPECT_EQ(out.metrics.client_failures(), 0u);
+    const harness::RunResult r = run(spec_for(small_config(true), 300, 50.0));
+    EXPECT_EQ(r.metrics.committed_valid(), 300u);
+    EXPECT_EQ(r.metrics.committed_invalid(), 0u);
+    EXPECT_EQ(r.metrics.client_failures(), 0u);
 }
 
 TEST(EndToEndTest, ChainsAndStatesConvergeAcrossPeers) {
-    core::FabricNetwork net(small_config(true));
-    const Outcome out = drive(net, 300, 50.0);
     // Identical, verified, non-empty chains and states on every peer, and
-    // identical OSN block sequences.
-    EXPECT_EQ(core::check_invariants(net, out.records.size()),
-              std::vector<std::string>{});
-    EXPECT_GT(net.peers().front()->chain().height(), 0u);
+    // identical OSN block sequences: core::check_invariants inside run_once.
+    const harness::RunResult r = run(spec_for(small_config(true), 300, 50.0));
+    EXPECT_EQ(r.artifacts.violations, std::vector<std::string>{});
+    EXPECT_GT(r.artifacts.blocks, 0u);
 }
 
 TEST(EndToEndTest, BaselineModeAlsoConverges) {
-    core::FabricNetwork net(small_config(false));
-    const Outcome out = drive(net, 300, 50.0);
-    EXPECT_EQ(out.metrics.committed_valid(), 300u);
-    EXPECT_TRUE(net.chains_identical());
-    EXPECT_TRUE(net.osn_blocks_identical());
+    harness::ExperimentSpec spec = spec_for(small_config(false), 300, 50.0);
+    spec.run_probe = [](core::FabricNetwork& net, auto&) {
+        EXPECT_TRUE(net.chains_identical());
+        EXPECT_TRUE(net.osn_blocks_identical());
+    };
+    const harness::RunResult r = run(spec);
+    EXPECT_EQ(r.metrics.committed_valid(), 300u);
+    EXPECT_EQ(r.artifacts.violations, std::vector<std::string>{});
 }
 
 TEST(EndToEndTest, DeterministicAcrossIdenticalSeeds) {
-    core::FabricNetwork a(small_config(true, 99));
-    core::FabricNetwork b(small_config(true, 99));
-    const Outcome ra = drive(a, 200, 50.0);
-    const Outcome rb = drive(b, 200, 50.0);
-    ASSERT_EQ(ra.records.size(), rb.records.size());
-    EXPECT_DOUBLE_EQ(ra.metrics.avg_latency(), rb.metrics.avg_latency());
-    EXPECT_EQ(a.peers().front()->chain().chain_fingerprint(),
-              b.peers().front()->chain().chain_fingerprint());
+    const harness::ExperimentSpec spec = spec_for(small_config(true, 99), 200, 50.0);
+    const harness::RunResult a = run(spec);
+    const harness::RunResult b = run(spec);
+    // Every artifact: metrics JSON, chain/state fingerprints, counts.
+    EXPECT_EQ(harness::diff(a.artifacts, b.artifacts), std::vector<std::string>{});
+    ASSERT_EQ(a.metrics.total(), b.metrics.total());
+    EXPECT_DOUBLE_EQ(a.metrics.avg_latency(), b.metrics.avg_latency());
 }
 
 TEST(EndToEndTest, DifferentSeedsDiffer) {
-    core::FabricNetwork a(small_config(true, 1));
-    core::FabricNetwork b(small_config(true, 2));
-    const Outcome ra = drive(a, 200, 50.0);
-    const Outcome rb = drive(b, 200, 50.0);
-    EXPECT_NE(ra.metrics.avg_latency(), rb.metrics.avg_latency());
+    const harness::RunResult a = run(spec_for(small_config(true, 1), 200, 50.0));
+    const harness::RunResult b = run(spec_for(small_config(true, 2), 200, 50.0));
+    EXPECT_NE(a.metrics.avg_latency(), b.metrics.avg_latency());
 }
 
 TEST(EndToEndTest, PriorityLevelsTaggedByChaincode) {
-    core::FabricNetwork net(small_config(true));
-    const Outcome out = drive(net, 400, 60.0);
-    ASSERT_EQ(out.metrics.by_priority().size(), 3u);
+    const harness::RunResult r = run(spec_for(small_config(true), 400, 60.0));
+    ASSERT_EQ(r.metrics.by_priority().size(), 3u);
     // Arrival ratio 1:2:1 -> counts roughly 100:200:100.
-    const auto& by_priority = out.metrics.by_priority();
+    const auto& by_priority = r.metrics.by_priority();
     EXPECT_NEAR(static_cast<double>(by_priority.at(1).count()),
                 static_cast<double>(by_priority.at(0).count() +
                                     by_priority.at(2).count()),
@@ -111,15 +111,17 @@ TEST(EndToEndTest, PriorityLevelsTaggedByChaincode) {
 }
 
 TEST(EndToEndTest, CommittedStateMatchesWorkload) {
-    core::FabricNetwork net(small_config(true));
-    drive(net, 200, 50.0);
     // Every committed create/log wrote exactly one unique key: state size
     // equals (committed account-creates) + (shipment creates write 3 keys)
     // + (record logs write 1).  Just sanity-check non-trivial state and
     // agreement between two peers' stores.
-    EXPECT_GT(net.peers().front()->state().key_count(), 100u);
-    EXPECT_EQ(net.peers().front()->state().fingerprint(),
-              net.peers().back()->state().fingerprint());
+    harness::ExperimentSpec spec = spec_for(small_config(true), 200, 50.0);
+    spec.run_probe = [](core::FabricNetwork& net, auto&) {
+        EXPECT_GT(net.peers().front()->state().key_count(), 100u);
+        EXPECT_EQ(net.peers().front()->state().fingerprint(),
+                  net.peers().back()->state().fingerprint());
+    };
+    run(spec);
 }
 
 TEST(EndToEndTest, ClientFairnessCalculatorRoutesPerClient) {
@@ -130,37 +132,46 @@ TEST(EndToEndTest, ClientFairnessCalculatorRoutesPerClient) {
                 {ClientId{0}, 0}, {ClientId{1}, 1}, {ClientId{2}, 2}},
             0);
     };
-    core::FabricNetwork net(cfg);
-    const Outcome out = drive(net, 300, 50.0, +[] {
+    harness::ExperimentSpec spec = spec_for(std::move(cfg), 300, 50.0, +[] {
         return harness::single_chaincode("record_keeper");
     });
-    EXPECT_EQ(out.metrics.committed_valid(), 300u);
     // Each client's txs landed in its own priority level.
-    for (const auto& record : out.records) {
+    spec.tx_probe = [](const client::TxRecord& record, core::FabricNetwork&,
+                       auto& extra) {
         EXPECT_EQ(record.priority, record.client.value());
-    }
+        extra["records"] += 1.0;
+    };
+    const harness::RunResult r = run(spec);
+    EXPECT_EQ(r.metrics.committed_valid(), 300u);
+    EXPECT_EQ(r.extra.at("records"), 300.0);
 }
 
 TEST(EndToEndTest, ContendedWorkloadInvalidatesSomeTransactions) {
     auto cfg = small_config(true);
     cfg.channel.block_size = 30;
-    core::FabricNetwork net(cfg);
-    harness::seed_hot_accounts(net, 4);
-    const Outcome out = drive(net, 300, 80.0, +[] {
+    harness::ExperimentSpec spec = spec_for(std::move(cfg), 300, 80.0, +[] {
         return harness::contended_transfers(4);
     });
+    // Pre-drain, so the seeded balances are committed before any proposal
+    // executes.
+    spec.instrument = [](core::FabricNetwork& net, unsigned) {
+        harness::seed_hot_accounts(net, 4);
+    };
+    spec.run_probe = [](core::FabricNetwork& net, auto&) {
+        EXPECT_TRUE(net.states_identical());
+        EXPECT_TRUE(net.chains_identical());
+    };
+    const harness::RunResult r = run(spec);
     // With 4 hot accounts at 240 tps and multi-tx blocks, intra-block
     // conflicts are certain; invalid txs must be reported, and peers must
     // still converge.
     // A few transactions may also die at endorsement time when endorsers
     // simulate against divergent mid-commit states (real Fabric behaviour
     // under an all-orgs endorsement policy).
-    EXPECT_GT(out.metrics.committed_invalid(), 0u);
-    EXPECT_GT(out.metrics.committed_valid(), 0u);
-    EXPECT_EQ(out.metrics.total(), 300u);
-    EXPECT_LT(out.metrics.client_failures(), 30u);
-    EXPECT_TRUE(net.states_identical());
-    EXPECT_TRUE(net.chains_identical());
+    EXPECT_GT(r.metrics.committed_invalid(), 0u);
+    EXPECT_GT(r.metrics.committed_valid(), 0u);
+    EXPECT_EQ(r.metrics.total(), 300u);
+    EXPECT_LT(r.metrics.client_failures(), 30u);
 }
 
 TEST(EndToEndTest, SeededStateVisibleToChaincode) {
