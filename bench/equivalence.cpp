@@ -1,10 +1,9 @@
 // Engine equivalence gate: every engine A/B pair is one row over
-// harness::diff (DESIGN.md §12, §13, §15, §16, §17; EXPERIMENTS.md A6, A7,
-// A10, A11).
+// harness::diff (DESIGN.md §12, §13, §15, §16; EXPERIMENTS.md A6, A7, A10).
 //
 // The paper's figures come from one serial Fabric pipeline.  Every engine
-// added since — the wave validator, the sharded world state, node-group
-// partitioning, channel sharding and Raft ordering — is trusted only because
+// added since — the wave validator, the sharded world state, channel
+// sharding and Raft ordering — is trusted only because
 // it reproduces that pipeline byte for byte.  Each row runs a base spec as
 // variant A (the reference) and as one or more variants B, every side
 // through harness::run_once or harness::run_multi_channel with a trace
@@ -16,10 +15,7 @@
 //
 // Host wall-clock of both sides (the drain alone) goes to stdout and
 // BENCH_*_timing.json, never to the deterministic JSON, whose bytes depend
-// on --seed and --txs alone.  --min-speedup P turns the pooled roles
-// layout's speedup over the serial engine into a gate (P in percent, 150 =
-// 1.5x); CI passes it only on runners with enough cores for the number to
-// mean anything.
+// on --seed and --txs alone.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -49,8 +45,8 @@ constexpr std::uint64_t kZipfAccounts = 20'000;
 constexpr double kZipfTps = 2'000.0;  // well past the 500 tps knee
 
 /// One variant of a row: a single-network spec (harness::run_once) or a
-/// multi-channel spec (harness::run_multi_channel), and the pool it drains
-/// on (null = inline / the serial channel loop).
+/// multi-channel spec (harness::run_multi_channel) and the pool the channel
+/// engine drains on (null = the serial channel loop).
 struct Side {
     std::string label;
     std::variant<harness::ExperimentSpec, harness::MultiChannelSpec> spec;
@@ -65,8 +61,7 @@ struct Outcome {
     std::optional<core::CrossChannelMeter> meter;
     std::uint64_t committed = 0;
     std::uint64_t wave_blocks = 0;  ///< peer 0 blocks that took the wave path
-    std::uint64_t groups = 1;       ///< partition groups
-    std::uint64_t windows = 0;      ///< partition or channel sync windows
+    std::uint64_t windows = 0;      ///< channel sync windows
     double wall_s = 0.0;
 };
 
@@ -105,10 +100,8 @@ Outcome run(const Side& side, std::uint64_t seed) {
     spec.capture_trace = true;
     spec.run_probe = [&out](core::FabricNetwork& net, std::map<std::string, double>&) {
         out.wave_blocks = net.peers().front()->blocks_wave_validated();
-        out.groups = net.partition_groups();
-        out.windows = net.partition_windows();
     };
-    harness::RunResult r = harness::run_once(spec, seed, 0, side.pool);
+    harness::RunResult r = harness::run_once(spec, seed);
     out.committed = r.metrics.committed_valid();
     out.wall_s = r.drain_wall_s;
     out.channels.push_back(std::move(r.artifacts));
@@ -238,20 +231,6 @@ std::vector<Row> make_rows(std::uint64_t txs, ThreadPool& pool) {
                                    : "a side never took the wave path";
                     }});
 
-    const harness::ExperimentSpec layout =
-        zipf_spec(bench::paper_config(/*priority_enabled=*/true), txs);
-    Row partition{"partition", {"single", layout}, {},
-                  [](const Outcome&, const Outcome& b) -> std::string {
-                      return b.groups > 1 && b.windows > 0 ? "" : "ran as one group";
-                  }};
-    for (const auto& [label, scheme] : {std::pair{"roles", core::PartitionScheme::kRoles},
-                                        std::pair{"per-node", core::PartitionScheme::kPerNode}}) {
-        const auto spec = with(layout, [s = scheme](auto& x) { x.config.partition = s; });
-        partition.b.push_back({std::string(label) + "/inline", spec});
-        partition.b.push_back({std::string(label) + "/pooled", spec, &pool});
-    }
-    rows.push_back(std::move(partition));
-
     // The channel-sharded engine against the serial channel loop; one
     // channel also against the single-network harness.
     for (const std::size_t n : {1u, 4u, 8u}) {
@@ -295,7 +274,6 @@ void write_side(JsonWriter& jw, const char* key, const std::string& label,
     jw.field("blocks", blocks);
     jw.field("events", events);
     jw.field("wave_blocks", o.wave_blocks);
-    jw.field("groups", o.groups);
     jw.field("windows", o.windows);
     jw.key("chain_fingerprints");
     jw.begin_array();
@@ -309,13 +287,8 @@ void write_side(JsonWriter& jw, const char* key, const std::string& label,
 }  // namespace
 
 int main(int argc, char** argv) {
-    harness::BenchFlag min_speedup_flag{
-        "--min-speedup",
-        "--min-speedup P require the pooled roles layout's speedup over the "
-        "serial engine >= P percent (150 = 1.5x; default: report only)",
-        0, /*positive=*/false, /*max=*/10'000};
-    const harness::SweepCli cli = harness::parse_sweep_cli(
-        argc, argv, /*default_seed=*/42, "equivalence", {&min_speedup_flag});
+    const harness::SweepCli cli =
+        harness::parse_sweep_cli(argc, argv, /*default_seed=*/42, "equivalence");
     const std::uint64_t txs = cli.txs_or(1'500);
 
     harness::print_banner(std::cout, "equivalence: every engine against its reference",
@@ -347,7 +320,6 @@ int main(int argc, char** argv) {
     tw.begin_array();
 
     bool all_ok = true;
-    double gated_speedup = 0.0;
     std::size_t pairs = 0;
     const auto started = std::chrono::steady_clock::now();
     for (const Row& row : make_rows(txs, pool)) {
@@ -362,9 +334,6 @@ int main(int argc, char** argv) {
             }
             all_ok = all_ok && diffs.empty();
             const double speedup = b.wall_s > 0.0 ? a.wall_s / b.wall_s : 0.0;
-            if (row.name == "partition" && side.label == "roles/pooled") {
-                gated_speedup = speedup;
-            }
             table.add_row({row.name, row.a.label, side.label, std::to_string(b.committed),
                            harness::fmt(a.wall_s, 2), harness::fmt(b.wall_s, 2),
                            harness::fmt(speedup, 2), diffs.empty() ? "OK" : "MISMATCH"});
@@ -412,15 +381,6 @@ int main(int argc, char** argv) {
     if (!all_ok) {
         std::cout << "EQUIVALENCE VIOLATION (see divergences above)\n";
         return 1;
-    }
-    if (min_speedup_flag.value > 0) {
-        const double required = static_cast<double>(min_speedup_flag.value) / 100.0;
-        const bool passed = gated_speedup >= required;
-        std::cout << (passed ? "speedup gate passed" : "PARTITION SPEEDUP REGRESSION")
-                  << ": roles layout " << harness::fmt(gated_speedup, 2)
-                  << (passed ? "x >= " : "x < required ") << harness::fmt(required, 2)
-                  << "x\n";
-        return passed ? 0 : 1;
     }
     return 0;
 }

@@ -21,24 +21,13 @@
 namespace fl::core {
 
 // Node address bases: peers, OSNs, clients and the ordering endpoint all
-// share one NodeId space (used as the scheduling-domain id by the
-// partitioned engine, so they are part of the deterministic contract).
+// share one NodeId space.  The ids double as scheduling domains, which set
+// the simulator's tie-break order, so they are part of the deterministic
+// contract.
 inline constexpr std::uint64_t kPeerNodeBase = 100;
 inline constexpr std::uint64_t kOsnNodeBase = 200;
 inline constexpr std::uint64_t kClientNodeBase = 300;
 inline constexpr std::uint64_t kBrokerNode = 9000;
-
-/// How a channel's components map onto partition groups (DESIGN.md §17).
-/// The layout NEVER changes the simulated execution (event keys are
-/// layout-independent); it only decides which node groups may advance
-/// concurrently.  The ordering service (broker or Raft cluster + every OSN)
-/// always shares one group: OSNs call into the backend synchronously
-/// (subscribe replay, produce, read).
-enum class PartitionScheme : std::uint8_t {
-    kSingle,   ///< one group — the serial engine (default)
-    kRoles,    ///< clients | one group per peer org | ordering service
-    kPerNode,  ///< each client and each peer alone; ordering service together
-};
 
 struct NetworkConfig {
     std::uint32_t orgs = 4;
@@ -80,14 +69,6 @@ struct NetworkConfig {
     orderer::OrderingBackendKind ordering_backend = orderer::OrderingBackendKind::kMq;
     /// Raft cluster tunables; only read when ordering_backend == kRaft.
     raft::RaftParams raft;
-
-    /// Node-group partition layout for the intra-channel parallel engine
-    /// (DESIGN.md §17).  Byte-identical output at every layout; kSingle
-    /// runs the plain single-simulator loop.  A multi-group layout rejects
-    /// what observes cross-group shared state: message faults throw
-    /// std::invalid_argument at build time, a global-order audit throws
-    /// std::logic_error from FabricNetwork::set_audit.
-    PartitionScheme partition = PartitionScheme::kSingle;
 
     /// Total number of peers in the network.
     [[nodiscard]] std::uint32_t total_peers() const { return orgs * peers_per_org; }

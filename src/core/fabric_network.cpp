@@ -1,13 +1,11 @@
 #include "core/fabric_network.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "fault/injector.h"
 #include "obs/audit/audit.h"
 #include "obs/metric_registry.h"
@@ -29,107 +27,27 @@ FabricNetwork::FabricNetwork(NetworkConfig config)
 
 FabricNetwork::~FabricNetwork() = default;
 
-sim::Simulator& FabricNetwork::simulator() {
-    if (sims_.size() != 1) {
-        throw std::logic_error(
-            "FabricNetwork::simulator: partitioned engine has no single clock — "
-            "use run()/advance_until/next_event_time/last_event_at or sim_of()");
-    }
-    return *sims_[0];
-}
-
-FabricNetwork::PartitionPlan FabricNetwork::resolve_partition_plan() const {
-    // Message faults draw per-send from one shared fault stream — a
-    // cross-group hazard — so a multi-group layout refuses them.
-    if (config_.faults.messages.any() && config_.partition != PartitionScheme::kSingle) {
-        throw std::invalid_argument(
-            "NetworkConfig: message faults share one fault stream across "
-            "senders — run them on PartitionScheme::kSingle");
-    }
-
-    const PartitionScheme scheme = config_.partition;
-    const std::size_t clients = config_.clients;
-    const std::size_t peers = config_.total_peers();
-    PartitionPlan plan;
-    // kRoles: clients | one group per peer org | ordering service;
-    // kPerNode: each client | each peer | ordering service.
-    plan.group_count = scheme == PartitionScheme::kSingle  ? 1
-                       : scheme == PartitionScheme::kRoles ? config_.orgs + 2
-                                                           : clients + peers + 1;
-    plan.ordering_group = plan.group_count - 1;
-    std::map<std::uint64_t, std::size_t> groups;  // node -> group, in node order
-    for (std::size_t c = 0; c < clients; ++c) {
-        groups[kClientNodeBase + c] = scheme == PartitionScheme::kPerNode ? c : 0;
-    }
-    for (std::size_t i = 0; i < peers; ++i) {
-        std::size_t& group = groups[kPeerNodeBase + i];
-        if (scheme == PartitionScheme::kRoles) group = 1 + i / config_.peers_per_org;
-        if (scheme == PartitionScheme::kPerNode) group = clients + i;
-    }
-    // The ordering service — every OSN plus the broker or the whole Raft
-    // cluster — takes the last group whole: OSNs call into the backend
-    // synchronously (core/config.h).
-    for (std::uint32_t i = 0; i < config_.osns; ++i) {
-        groups[kOsnNodeBase + i] = plan.ordering_group;
-    }
-    if (config_.ordering_backend == orderer::OrderingBackendKind::kRaft) {
-        // Raft node 0 shares the broker's well-known address (raft/raft.h).
-        for (std::uint32_t i = 0; i < config_.raft.nodes; ++i) {
-            groups[raft::kRaftNodeBase + i] = plan.ordering_group;
-        }
-    } else {
-        groups[kBrokerNode] = plan.ordering_group;
-    }
-    plan.node_group.assign(groups.begin(), groups.end());
-    return plan;
-}
-
 void FabricNetwork::build() {
-    const PartitionPlan plan = resolve_partition_plan();
-    ordering_group_ = plan.ordering_group;
-    sims_.reserve(plan.group_count);
-    for (std::size_t g = 0; g < plan.group_count; ++g) {
-        sims_.push_back(std::make_unique<sim::Simulator>());
-    }
-    std::vector<sim::Simulator*> raw;
-    raw.reserve(sims_.size());
-    for (const auto& s : sims_) raw.push_back(s.get());
-    // Lookahead = the guaranteed cross-group latency floor.  With one group
-    // the value is unused (serial fast path); with more, the PartitionSet
-    // constructor rejects a non-positive floor (zero-latency links admit no
-    // conservative window).
-    partitions_ = std::make_unique<sim::PartitionSet>(
-        std::move(raw), sim::Network::link_floor(config_.link_params));
-    for (const auto& [node, group] : plan.node_group) {
-        partitions_->map_domain(node, group);
-    }
-
-    net_ = std::make_unique<sim::Network>(*sims_[0], rng_.split("network"),
+    net_ = std::make_unique<sim::Network>(sim_, rng_.split("network"),
                                           config_.link_params);
-    // Always attached — even single-group — so the jitter stream layout is
-    // identical at every partition scheme (per-from streams, sim/network.h).
-    net_->attach_partitions(partitions_.get());
-    for (const auto& [node, group] : plan.node_group) {
-        net_->register_node(NodeId{node});
-    }
+    net_->use_per_sender_streams();
 
-    sim::Simulator& osim = *sims_[ordering_group_];
     if (config_.ordering_backend == orderer::OrderingBackendKind::kRaft) {
         // The Raft rng is derived straight from the seed (like the key
         // store's), NOT split from rng_: Rng::split advances the parent, so
         // splitting here would shift every later component stream and break
         // the mq-vs-raft byte-identity contract (DESIGN.md §15).
-        sim::DomainScope scope(osim, kBrokerNode);
+        sim::DomainScope scope(sim_, kBrokerNode);
         raft_backend_ = std::make_unique<raft::RaftOrderingBackend>(
-            osim, *net_, Rng(config_.seed ^ 0x5241465453454431ull),  // "RAFTSED1"
+            sim_, *net_, Rng(config_.seed ^ 0x5241465453454431ull),  // "RAFTSED1"
             config_.raft);
         ordering_ = raft_backend_.get();
     } else {
         mq::BrokerParams broker_params;
         broker_params.node = NodeId{kBrokerNode};
-        sim::DomainScope scope(osim, kBrokerNode);
+        sim::DomainScope scope(sim_, kBrokerNode);
         broker_ = std::make_unique<mq::Broker<orderer::OrderedRecord>>(
-            osim, *net_, broker_params);
+            sim_, *net_, broker_params);
         mq_backend_ = std::make_unique<orderer::MqOrderingBackend>(*broker_);
         ordering_ = mq_backend_.get();
     }
@@ -153,9 +71,8 @@ void FabricNetwork::build() {
         factory = [] { return std::make_unique<peer::StaticChaincodeCalculator>(); };
     }
 
-    // Peers — each constructed on its group's simulator, under its own
-    // scheduling domain so any constructor-scheduled event keys identically
-    // at every layout.
+    // Peers — each constructed under its own scheduling domain, so any
+    // constructor-scheduled event is keyed as the peer's.
     for (std::uint32_t org = 0; org < config_.orgs; ++org) {
         for (std::uint32_t p = 0; p < config_.peers_per_org; ++p) {
             const std::uint64_t index = org * config_.peers_per_org + p;
@@ -163,16 +80,15 @@ void FabricNetwork::build() {
             crypto::Identity identity{
                 "org" + std::to_string(org) + ".peer" + std::to_string(p), OrgId{org}};
             keys_.register_identity(identity);
-            sim::Simulator& psim = partitions_->sim_of(node);
-            sim::DomainScope scope(psim, node);
+            sim::DomainScope scope(sim_, node);
             peers_.push_back(std::make_unique<peer::Peer>(
-                psim, *net_, keys_, registry_, config_.channel, config_.peer_params,
+                sim_, *net_, keys_, registry_, config_.channel, config_.peer_params,
                 PeerId{index}, NodeId{node}, identity, factory(),
                 rng_.split("peer" + std::to_string(index))));
         }
     }
 
-    // OSNs, each with its own local-clock skew; all on the ordering group.
+    // OSNs, each with its own local-clock skew.
     for (std::uint32_t i = 0; i < config_.osns; ++i) {
         crypto::Identity identity{"osn" + std::to_string(i), OrgId{0}};
         keys_.register_identity(identity);
@@ -180,9 +96,9 @@ void FabricNetwork::build() {
         params.clock_skew = Duration::from_seconds(
             rng_.split("osnskew" + std::to_string(i))
                 .uniform(0.0, config_.max_osn_clock_skew.as_seconds()));
-        sim::DomainScope scope(osim, kOsnNodeBase + i);
+        sim::DomainScope scope(sim_, kOsnNodeBase + i);
         osns_.push_back(std::make_unique<orderer::Osn>(
-            osim, *net_, *ordering_, keys_, config_.channel, params, OsnId{i},
+            sim_, *net_, *ordering_, keys_, config_.channel, params, OsnId{i},
             NodeId{kOsnNodeBase + i}));
     }
 
@@ -202,10 +118,9 @@ void FabricNetwork::build() {
         crypto::Identity identity{"client" + std::to_string(c),
                                   OrgId{c % config_.orgs}};
         keys_.register_identity(identity);
-        sim::Simulator& csim = partitions_->sim_of(node);
-        sim::DomainScope scope(csim, node);
+        sim::DomainScope scope(sim_, node);
         clients_.push_back(std::make_unique<client::Client>(
-            csim, *net_, keys_, config_.channel, config_.client_params, ClientId{c},
+            sim_, *net_, keys_, config_.channel, config_.client_params, ClientId{c},
             NodeId{node}, identity, rng_.split("client" + std::to_string(c))));
 
         std::vector<peer::Peer*> endorsers;
@@ -225,7 +140,7 @@ void FabricNetwork::build() {
     // Start the ordering service last so subscriptions see a clean log.
     // Generator timers scheduled here key under the OSN's domain.
     for (std::size_t i = 0; i < osns_.size(); ++i) {
-        sim::DomainScope scope(osim, kOsnNodeBase + i);
+        sim::DomainScope scope(sim_, kOsnNodeBase + i);
         osns_[i]->start();
     }
 
@@ -233,7 +148,6 @@ void FabricNetwork::build() {
     // streams and schedule no extra events (byte-identity contract).
     if (config_.faults.enabled()) {
         if (config_.faults.messages.any()) {
-            // Only reachable in single-group mode (the plan demoted above).
             net_->set_message_faults(config_.faults.messages, rng_.split("msgfault"));
         }
         fault_schedule_ = config_.faults.schedule;
@@ -249,34 +163,15 @@ void FabricNetwork::build() {
         std::stable_sort(fault_schedule_.begin(), fault_schedule_.end(),
                          [](const fault::ScheduledFault& a,
                             const fault::ScheduledFault& b) { return a.at < b.at; });
-        // Each fault event runs on its target component's group, under the
-        // target's domain (layout-identical keys, no cross-group access).
+        // Each fault event runs under its target component's domain.
         for (const fault::ScheduledFault& f : fault_schedule_) {
-            const std::uint64_t d = fault_domain(f);
-            const std::size_t g = partitions_->group_of(d);
-            sim::Simulator& s = *sims_[g];
-            sim::DomainScope scope(s, d);
-            s.schedule_after(f.at, [this, f, g] { apply_fault(f, g); });
+            sim::DomainScope scope(sim_, fault_domain(f));
+            sim_.schedule_after(f.at, [this, f] { apply_fault(f); });
         }
     }
 
     // Guard against runaway configurations (events scale with tx volume).
-    for (const auto& s : sims_) {
-        s->set_event_limit(500'000'000);
-    }
-
-    // Multi-group observer buffering: per-group sinks journal the executing
-    // event's key with every emission; drain_observers() merges them into
-    // the user sinks in exact serial emission order.
-    if (sims_.size() > 1) {
-        group_sinks_.reserve(sims_.size());
-        for (const auto& s : sims_) {
-            auto sink = std::make_unique<obs::TraceSink>();
-            sink->set_order_source(s.get());
-            group_sinks_.push_back(std::move(sink));
-        }
-        tx_buffers_.resize(sims_.size());
-    }
+    sim_.set_event_limit(500'000'000);
 }
 
 std::uint64_t FabricNetwork::fault_domain(const fault::ScheduledFault& f) const {
@@ -295,8 +190,8 @@ std::uint64_t FabricNetwork::fault_domain(const fault::ScheduledFault& f) const 
     }
 }
 
-void FabricNetwork::apply_fault(const fault::ScheduledFault& f, std::size_t group) {
-    faults_applied_.fetch_add(1, std::memory_order_relaxed);
+void FabricNetwork::apply_fault(const fault::ScheduledFault& f) {
+    ++faults_applied_;
     std::uint64_t actor = 0;
     obs::ActorKind kind = obs::ActorKind::kOsn;
     switch (f.kind) {
@@ -388,66 +283,35 @@ void FabricNetwork::apply_fault(const fault::ScheduledFault& f, std::size_t grou
         kind = obs::ActorKind::kRaft;
         break;
     }
-    if (obs::TraceSink* sink = group_trace(group)) {
+    if (trace_ != nullptr) {
         obs::TraceEvent ev;
-        ev.at = sims_[group]->now();
+        ev.at = sim_.now();
         ev.type = obs::EventType::kFault;
         ev.actor_kind = kind;
         ev.actor = actor;
         ev.value = static_cast<std::uint64_t>(f.kind);
         ev.value2 = f.target;
-        sink->emit(ev);
+        trace_->emit(ev);
     }
 }
 
 void FabricNetwork::set_tx_sink(std::function<void(const client::TxRecord&)> sink) {
-    if (sims_.size() == 1) {
-        for (const auto& c : clients_) {
-            c->set_on_complete(sink);
-        }
-        return;
+    for (const auto& c : clients_) {
+        c->set_on_complete(sink);
     }
-    user_tx_sink_ = std::move(sink);
-    for (std::size_t c = 0; c < clients_.size(); ++c) {
-        if (!user_tx_sink_) {
-            clients_[c]->set_on_complete(nullptr);
-            continue;
-        }
-        const std::size_t g = partitions_->group_of(kClientNodeBase + c);
-        clients_[c]->set_on_complete([this, g](const client::TxRecord& r) {
-            tx_buffers_[g].push_back({sims_[g]->current_key(), r});
-        });
-    }
-}
-
-obs::TraceSink* FabricNetwork::group_trace(std::size_t group) {
-    if (trace_ == nullptr) return nullptr;
-    return sims_.size() == 1 ? trace_ : group_sinks_[group].get();
 }
 
 void FabricNetwork::set_trace_sink(obs::TraceSink* sink) {
-    trace_ = sink;  // kFault events + the merge target in multi-group mode
-    for (std::size_t c = 0; c < clients_.size(); ++c) {
-        clients_[c]->set_trace(group_trace(partitions_->group_of(kClientNodeBase + c)));
-    }
-    for (std::size_t i = 0; i < peers_.size(); ++i) {
-        peers_[i]->set_trace(group_trace(partitions_->group_of(kPeerNodeBase + i)));
-    }
-    for (const auto& o : osns_) o->set_trace(group_trace(ordering_group_));
-    if (raft_backend_) {
-        raft_backend_->set_trace(group_trace(ordering_group_));  // election events
-    }
-    if (audit_) audit_->set_trace(sink);  // detector events (single-group only)
+    trace_ = sink;
+    for (const auto& c : clients_) c->set_trace(sink);
+    for (const auto& p : peers_) p->set_trace(sink);
+    for (const auto& o : osns_) o->set_trace(sink);
+    if (raft_backend_) raft_backend_->set_trace(sink);  // election events
+    if (audit_) audit_->set_trace(sink);                 // detector events
     install_broker_hook();
 }
 
 void FabricNetwork::set_audit(obs::audit::AuditAccountant* audit) {
-    if (audit != nullptr && sims_.size() > 1) {
-        throw std::logic_error(
-            "FabricNetwork::set_audit: the audit accountant observes global "
-            "order across every component — audited runs use the serial engine "
-            "(PartitionScheme::kSingle); results are byte-identical");
-    }
     audit_ = audit;
     if (audit_) audit_->set_trace(trace_);
     for (const auto& c : clients_) c->set_audit(audit);
@@ -459,7 +323,7 @@ void FabricNetwork::set_audit(obs::audit::AuditAccountant* audit) {
 }
 
 void FabricNetwork::install_broker_hook() {
-    obs::TraceSink* sink = group_trace(ordering_group_);
+    obs::TraceSink* sink = trace_;
     obs::audit::AuditAccountant* audit = audit_;
     if (sink == nullptr && audit == nullptr) {
         ordering_->set_on_append(nullptr);
@@ -471,7 +335,7 @@ void FabricNetwork::install_broker_hook() {
         levels.emplace(config_.channel.topic_for_level(l), l);
     }
     ordering_->set_on_append(
-        [sink, audit, levels = std::move(levels), sim = sims_[ordering_group_].get()](
+        [sink, audit, levels = std::move(levels), sim = &sim_](
             const std::string& topic, mq::Offset offset,
             const orderer::OrderedRecord& rec, std::size_t wire) {
             if (rec.is_config()) return;  // config updates carry no tx id
@@ -505,84 +369,6 @@ void FabricNetwork::install_broker_hook() {
             }
             sink->emit(ev);
         });
-}
-
-void FabricNetwork::run(ThreadPool* pool) {
-    partitions_->run(pool);
-    drain_observers();
-}
-
-std::uint64_t FabricNetwork::advance_until(TimePoint end, ThreadPool* pool) {
-    const std::uint64_t executed = partitions_->advance_until(end, pool);
-    drain_observers();
-    return executed;
-}
-
-std::uint64_t FabricNetwork::events_executed() const {
-    std::uint64_t total = 0;
-    for (const auto& s : sims_) total += s->events_executed();
-    return total;
-}
-
-void FabricNetwork::drain_observers() {
-    if (sims_.size() == 1) return;  // sinks wired directly, nothing buffered
-
-    // Serial emission order: every buffered entry carries the EventKey of
-    // the simulator event that produced it; global heap-pop order equals
-    // lexicographic key order, and within one event emissions happen in
-    // buffer order — so sorting by (key, group, index) reconstructs the
-    // exact order a single-simulator run would have emitted.  (The group
-    // component of the tiebreak never actually decides: one event executes
-    // in exactly one group.)
-    struct Ref {
-        sim::EventKey key;
-        std::size_t group;
-        std::size_t idx;
-    };
-    const auto by_serial_order = [](const Ref& a, const Ref& b) {
-        if (a.key != b.key) return a.key < b.key;
-        if (a.group != b.group) return a.group < b.group;
-        return a.idx < b.idx;
-    };
-
-    std::size_t total_traces = 0;
-    for (const auto& s : group_sinks_) total_traces += s->size();
-    if (total_traces > 0) {
-        std::vector<Ref> refs;
-        refs.reserve(total_traces);
-        for (std::size_t g = 0; g < group_sinks_.size(); ++g) {
-            const auto& keys = group_sinks_[g]->keys();
-            for (std::size_t i = 0; i < keys.size(); ++i) {
-                refs.push_back({keys[i], g, i});
-            }
-        }
-        std::sort(refs.begin(), refs.end(), by_serial_order);
-        if (trace_ != nullptr) {
-            for (const Ref& r : refs) {
-                trace_->emit(group_sinks_[r.group]->events()[r.idx]);
-            }
-        }
-        for (const auto& s : group_sinks_) s->clear();
-    }
-
-    std::size_t total_txs = 0;
-    for (const auto& b : tx_buffers_) total_txs += b.size();
-    if (total_txs > 0) {
-        std::vector<Ref> refs;
-        refs.reserve(total_txs);
-        for (std::size_t g = 0; g < tx_buffers_.size(); ++g) {
-            for (std::size_t i = 0; i < tx_buffers_[g].size(); ++i) {
-                refs.push_back({tx_buffers_[g][i].key, g, i});
-            }
-        }
-        std::sort(refs.begin(), refs.end(), by_serial_order);
-        if (user_tx_sink_) {
-            for (const Ref& r : refs) {
-                user_tx_sink_(tx_buffers_[r.group][r.idx].rec);
-            }
-        }
-        for (auto& b : tx_buffers_) b.clear();
-    }
 }
 
 void FabricNetwork::register_metrics(obs::MetricRegistry& registry,
@@ -825,8 +611,8 @@ void FabricNetwork::register_metrics(obs::MetricRegistry& registry,
 
 void FabricNetwork::update_block_policy(const policy::BlockFormationPolicy& new_policy) {
     // Tag the synchronous submit with OSN 0's domain (the submitting
-    // component) so the resulting event keys are layout-identical.
-    sim::DomainScope scope(*sims_[ordering_group_], kOsnNodeBase);
+    // component), so its events are keyed as OSN 0's.
+    sim::DomainScope scope(sim_, kOsnNodeBase);
     osns_.front()->submit_config_update(new_policy);
 }
 

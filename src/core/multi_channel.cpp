@@ -124,14 +124,6 @@ std::uint64_t MultiChannelNetwork::run(ThreadPool* pool) {
     std::vector<std::uint64_t> counts(n, 0);
     std::uint64_t executed = 0;
 
-    // Composition with the intra-channel partitioned engine (DESIGN.md §17):
-    // each channel advances via FabricNetwork::advance_until, which runs the
-    // channel's own node-group windows inside this engine's cell.  The pool
-    // is spent on whichever axis has the parallelism — across channels when
-    // there are several, across one channel's node groups when there is one
-    // (nesting both would stack fork-joins for no extra concurrency).
-    ThreadPool* const intra_pool = n == 1 ? pool : nullptr;
-
     for (;;) {
         // Earliest pending event across channels decides the next window on
         // the origin-anchored grid; fully drained channels report max().
@@ -150,11 +142,11 @@ std::uint64_t MultiChannelNetwork::run(ThreadPool* pool) {
         // counts are written into pre-sized slots, never shared accumulators.
         if (pool != nullptr && n > 1) {
             parallel_for_each(*pool, n, [&](std::size_t c) {
-                counts[c] = nets_[c]->advance_until(window_end, nullptr);
+                counts[c] = nets_[c]->advance_until(window_end);
             });
         } else {
             for (std::size_t c = 0; c < n; ++c) {
-                counts[c] = nets_[c]->advance_until(window_end, intra_pool);
+                counts[c] = nets_[c]->advance_until(window_end);
             }
         }
         for (std::uint64_t c : counts) executed += c;

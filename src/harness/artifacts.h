@@ -4,7 +4,7 @@
 //
 // harness::run_once fills one per run and harness::run_multi_channel one
 // per channel, both through capture_artifacts, so every equivalence gate —
-// serial vs partitioned, serial vs channel-sharded, multi-channel vs the
+// serial vs parallel validator, serial vs channel-sharded, multi-channel vs the
 // single-network harness — is `diff(a, b).empty()`.
 #pragma once
 
@@ -25,7 +25,7 @@ struct RunArtifacts {
     std::uint64_t chain_fingerprint = 0;  ///< peer 0 block chain
     std::uint64_t state_fingerprint = 0;  ///< peer 0 world state
     std::uint64_t blocks = 0;             ///< peer 0 chain height
-    std::uint64_t events_executed = 0;    ///< across all partition groups
+    std::uint64_t events_executed = 0;    ///< simulator events run
     /// core::check_invariants names; empty when the run is safe.
     std::vector<std::string> violations;
 };

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "core/invariants.h"
+#include "harness/sweep.h"
 #include "obs/trace.h"
 
 namespace fl::harness {
@@ -23,7 +26,7 @@ std::unique_ptr<obs::audit::AuditAccountant> make_audit(
 }
 
 RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
-                   unsigned run_index, ThreadPool* pool) {
+                   unsigned run_index) {
     core::NetworkConfig config = spec.config;
     config.seed = seed;
     obs::TraceSink trace;  // outlives the network that points at it
@@ -54,7 +57,7 @@ RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
     // other events are pending, so the sim can drain).
     if (spec.instrument) spec.instrument(net, run_index);
     const auto drain_started = std::chrono::steady_clock::now();
-    net.run(pool);
+    net.run();
     result.drain_wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - drain_started)
                               .count();
@@ -140,19 +143,31 @@ double AggregateResult::extra_total(const std::string& key) const {
 }
 
 namespace {
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+/// A count from the environment, held to the --runs/--txs contract:
+/// digits only and >= 1, else a message and exit 2.  Unset or empty means
+/// `fallback`.
+std::uint64_t env_count(const char* name, std::uint64_t fallback) {
     const char* raw = std::getenv(name);
     if (raw == nullptr || *raw == '\0') return fallback;
-    return std::strtoull(raw, nullptr, 10);
+    const std::optional<std::uint64_t> v = parse_cli_u64(raw);
+    if (!v) {
+        std::cerr << name << ": not a non-negative integer: " << raw << "\n";
+        std::exit(2);
+    }
+    if (*v == 0) {
+        std::cerr << name << ": must be >= 1\n";
+        std::exit(2);
+    }
+    return *v;
 }
 }  // namespace
 
 unsigned runs_from_env(unsigned default_runs) {
-    return static_cast<unsigned>(env_u64("FAIRLEDGER_RUNS", default_runs));
+    return static_cast<unsigned>(env_count("FAIRLEDGER_RUNS", default_runs));
 }
 
 std::uint64_t total_txs_from_env(std::uint64_t default_total) {
-    return env_u64("FAIRLEDGER_TOTAL_TXS", default_total);
+    return env_count("FAIRLEDGER_TOTAL_TXS", default_total);
 }
 
 }  // namespace fl::harness

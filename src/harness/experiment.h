@@ -130,14 +130,9 @@ struct AggregateResult {
 /// gate uses: network → tx sink → audit → WorkloadDriver(Rng(seed ^
 /// 0x574B4C44)) → start → trace → instrument → drain → audit finalize →
 /// core::check_invariants → run_probe → artifacts.  `run_index` is forwarded
-/// to ExperimentSpec::instrument.  `pool` parallelizes partition groups when
-/// the config requests a multi-group layout (core::PartitionScheme);
-/// results are byte-identical at every pool size, including null.  An
-/// audit needs the serial engine (the accountant observes global order):
-/// an audited multi-group spec throws std::logic_error.
+/// to ExperimentSpec::instrument.
 [[nodiscard]] RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
-                                 unsigned run_index = 0,
-                                 ThreadPool* pool = nullptr);
+                                 unsigned run_index = 0);
 
 /// A fresh fairness-audit accountant for one network; empty level_weights
 /// default from the channel's block policy (one level when priorities are
@@ -150,10 +145,12 @@ struct AggregateResult {
 
 /// Number of repetitions: the FAIRLEDGER_RUNS environment variable when set,
 /// otherwise `default_runs` (the paper uses 10; benches default lower to
-/// keep CI fast — see EXPERIMENTS.md).
+/// keep CI fast — see EXPERIMENTS.md).  A value that --runs would reject
+/// (not digits only, out of range, or 0) prints a message and exits 2.
 [[nodiscard]] unsigned runs_from_env(unsigned default_runs);
 
-/// Total transactions per run: FAIRLEDGER_TOTAL_TXS or `default_total`.
+/// Total transactions per run: FAIRLEDGER_TOTAL_TXS or `default_total`,
+/// validated like FAIRLEDGER_RUNS.
 [[nodiscard]] std::uint64_t total_txs_from_env(std::uint64_t default_total);
 
 }  // namespace fl::harness

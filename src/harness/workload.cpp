@@ -45,7 +45,6 @@ WorkloadDriver::WorkloadDriver(core::FabricNetwork& net, Workload workload, Rng 
         }
         load_rngs_.push_back(rng.split("load" + std::to_string(i)));
         remaining_.push_back(load.total_txs);
-        submitted_.push_back(0);
     }
 }
 
@@ -57,28 +56,20 @@ void WorkloadDriver::start() {
     }
 }
 
-std::uint64_t WorkloadDriver::submitted() const {
-    std::uint64_t total = 0;
-    for (const std::uint64_t s : submitted_) total += s;
-    return total;
-}
-
 void WorkloadDriver::schedule_next(std::size_t load_index) {
     const LoadSpec& load = workload_.loads[load_index];
     const double mean_gap = 1.0 / load.tps;
     const double gap_s = workload_.poisson
                              ? load_rngs_[load_index].exponential(mean_gap)
                              : mean_gap;
-    // Arrivals live on the target client's simulator under its domain:
-    // layout-identical event keys, and each load's state (rng, counters) is
-    // only ever touched from that client's partition group.
+    // Arrivals are keyed under the target client's domain.
     const client::Client& client = *net_.clients()[load.client_index];
-    sim::Simulator& csim = net_.sim_of(client.node());
-    sim::DomainScope scope(csim, client.node().value());
-    csim.schedule_after(Duration::from_seconds(gap_s), [this, load_index] {
+    sim::Simulator& sim = net_.simulator();
+    sim::DomainScope scope(sim, client.node().value());
+    sim.schedule_after(Duration::from_seconds(gap_s), [this, load_index] {
         const LoadSpec& spec = workload_.loads[load_index];
         spec.generate(*net_.clients()[spec.client_index], load_rngs_[load_index]);
-        ++submitted_[load_index];
+        ++submitted_;
         if (--remaining_[load_index] > 0) {
             schedule_next(load_index);
         }

@@ -46,11 +46,9 @@ struct Workload {
     void distribute_total(std::uint64_t total);
 };
 
-/// Schedules all loads onto the network.  Each load's arrival events run on
-/// its client's simulator under the client's scheduling domain, so the
-/// driver works unchanged — and byte-identically — on the partitioned
-/// engine (per-load state is only ever touched from that client's group).
-/// Keep alive until the simulation finishes.
+/// Schedules all loads onto the network.  Each load's arrival events run
+/// under its client's scheduling domain, so they tie-break as the client's
+/// own events.  Keep alive until the simulation finishes.
 class WorkloadDriver {
 public:
     WorkloadDriver(core::FabricNetwork& net, Workload workload, Rng rng);
@@ -58,7 +56,7 @@ public:
     /// Begins submission at simulation time now.
     void start();
 
-    [[nodiscard]] std::uint64_t submitted() const;
+    [[nodiscard]] std::uint64_t submitted() const { return submitted_; }
 
 private:
     void schedule_next(std::size_t load_index);
@@ -67,8 +65,7 @@ private:
     Workload workload_;
     std::vector<Rng> load_rngs_;
     std::vector<std::uint64_t> remaining_;
-    /// Per-load so concurrent groups never share a counter.
-    std::vector<std::uint64_t> submitted_;
+    std::uint64_t submitted_ = 0;
 };
 
 // -- stock transaction generators -------------------------------------------

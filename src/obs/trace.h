@@ -24,7 +24,6 @@
 
 #include "common/time.h"
 #include "common/types.h"
-#include "sim/simulator.h"
 
 namespace fl::obs {
 
@@ -85,16 +84,7 @@ struct TraceEvent {
 /// inside one simulation.
 class TraceSink {
 public:
-    void emit(const TraceEvent& event) {
-        events_.push_back(event);
-        if (order_source_) keys_.push_back(order_source_->current_key());
-    }
-
-    /// Journals the executing event's key alongside every emission
-    /// (partitioned engine): per-group sinks record (key, emission index)
-    /// so the engine can merge them into the exact serial emission order.
-    void set_order_source(const sim::Simulator* sim) { order_source_ = sim; }
-    [[nodiscard]] const std::vector<sim::EventKey>& keys() const { return keys_; }
+    void emit(const TraceEvent& event) { events_.push_back(event); }
 
     /// Tags the sink with the channel its events belong to (multi-channel
     /// runs attach one sink per channel; core/multi_channel.h).  A tagged
@@ -111,10 +101,7 @@ public:
     [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
     [[nodiscard]] std::size_t size() const { return events_.size(); }
     [[nodiscard]] bool empty() const { return events_.empty(); }
-    void clear() {
-        events_.clear();
-        keys_.clear();
-    }
+    void clear() { events_.clear(); }
 
     /// Chrome trace-event JSON (Perfetto-loadable): per-tx lifecycle spans
     /// (endorse → order → validate → notify) on a "tx lifecycle" process
@@ -126,8 +113,6 @@ public:
 
 private:
     std::vector<TraceEvent> events_;
-    std::vector<sim::EventKey> keys_;
-    const sim::Simulator* order_source_ = nullptr;
     std::uint64_t channel_ = 0;
     bool has_channel_ = false;
 };

@@ -23,8 +23,7 @@ void Simulator::schedule_at(TimePoint t, EventFn fn) {
 }
 
 void Simulator::schedule_after(Duration delay, EventFn fn) {
-    if (delay < Duration::zero()) delay = Duration::zero();
-    schedule_at(now_ + delay, std::move(fn));
+    schedule_on(current_domain_, delay, std::move(fn));
 }
 
 TimerHandle Simulator::schedule_timer(Duration delay, EventFn fn) {
@@ -34,12 +33,9 @@ TimerHandle Simulator::schedule_timer(Duration delay, EventFn fn) {
     return TimerHandle{std::move(cancelled)};
 }
 
-void Simulator::schedule_keyed(EventKey key, DomainId exec_domain, EventFn fn) {
-    if (key.at < now_) {
-        throw std::logic_error(
-            "Simulator: keyed event in the past (lookahead violation?)");
-    }
-    queue_.push(Event{key, exec_domain, std::move(fn), nullptr});
+void Simulator::schedule_on(DomainId exec_domain, Duration delay, EventFn fn) {
+    if (delay < Duration::zero()) delay = Duration::zero();
+    queue_.push(Event{make_key(now_ + delay), exec_domain, std::move(fn), nullptr});
 }
 
 bool Simulator::run_one() {
@@ -55,7 +51,6 @@ bool Simulator::run_one() {
     if (ev.cancelled) {
         *ev.cancelled = true;  // a fired timer is no longer active
     }
-    current_key_ = ev.key;
     set_domain(ev.exec_domain);
     ev.fn();
     ++executed_;
@@ -82,14 +77,6 @@ std::uint64_t Simulator::run_until(TimePoint deadline) {
     return n;
 }
 
-std::uint64_t Simulator::run_until_before(TimePoint end) {
-    std::uint64_t n = 0;
-    while (!queue_.empty() && queue_.top().key.at < end) {
-        if (run_one()) ++n;
-    }
-    return n;
-}
-
 bool Simulator::step() {
     while (!queue_.empty()) {
         if (run_one()) return true;  // skip cancelled entries
@@ -104,10 +91,9 @@ TimePoint Simulator::next_event_time() {
         // Dead entry: discard it, but only remember its time for the
         // last_event_at() accessor (where run_one's cancelled pop would have
         // landed it — that feeds e.g. audit finalization).  The execution
-        // clock must NOT move: in a partitioned run this peek can happen
-        // while the group lags global time, and a cancelled timer far in the
-        // future must not make later (causally legal) cross-group deliveries
-        // look like they are in the past.
+        // clock must NOT move: the channel engine peeks between windows, and
+        // a cancelled timer far in the future must not push now() past the
+        // window boundary (later schedules would clamp to it).
         pruned_to_ = std::max(pruned_to_, top.key.at);
         queue_.pop();
     }

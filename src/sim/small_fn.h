@@ -1,7 +1,7 @@
 // Small-buffer callable for simulator events.
 //
-// The partitioned engine runs many short synchronization windows, so event
-// dispatch is on the hot path: a `std::function<void()>` heap-allocates for
+// Every simulated event is dispatched through one of these, so the functor
+// is on the hot path: a `std::function<void()>` heap-allocates for
 // anything past its (implementation-defined, typically 16-byte) inline
 // buffer, which covers almost every simulation callback (they capture `this`
 // plus a handful of ids / payload handles).  `SmallFn` widens the inline

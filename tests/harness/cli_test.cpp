@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -90,6 +91,48 @@ TEST(CliDeathTest, MalformedSeedRejected) {
 
 TEST(CliDeathTest, MissingValueRejected) {
     EXPECT_EXIT(parse({"--txs"}), ::testing::ExitedWithCode(2), "missing value");
+}
+
+// -- FAIRLEDGER_RUNS / FAIRLEDGER_TOTAL_TXS: same contract as the flags -------
+
+// Death tests run the statement in a child process, so these settings do
+// not leak into other tests.
+unsigned runs_with(const char* value) {
+    setenv("FAIRLEDGER_RUNS", value, 1);
+    return runs_from_env(3);
+}
+
+std::uint64_t txs_with(const char* value) {
+    setenv("FAIRLEDGER_TOTAL_TXS", value, 1);
+    return total_txs_from_env(100);
+}
+
+TEST(CliDeathTest, MalformedRunsEnvRejected) {
+    EXPECT_EXIT(runs_with("abc"), ::testing::ExitedWithCode(2),
+                "FAIRLEDGER_RUNS: not a non-negative integer: abc");
+}
+
+TEST(CliDeathTest, TrailingGarbageRunsEnvRejected) {
+    EXPECT_EXIT(runs_with("2x"), ::testing::ExitedWithCode(2),
+                "FAIRLEDGER_RUNS: not a non-negative integer: 2x");
+}
+
+TEST(CliDeathTest, NegativeTxsEnvRejected) {
+    EXPECT_EXIT(txs_with("-5"), ::testing::ExitedWithCode(2),
+                "FAIRLEDGER_TOTAL_TXS: not a non-negative integer: -5");
+}
+
+TEST(CliDeathTest, ZeroTxsEnvRejected) {
+    EXPECT_EXIT(txs_with("0"), ::testing::ExitedWithCode(2),
+                "FAIRLEDGER_TOTAL_TXS: must be >= 1");
+}
+
+TEST(CliParseTest, EnvCountsParseOrFallBack) {
+    unsetenv("FAIRLEDGER_RUNS");
+    EXPECT_EQ(runs_from_env(3), 3u);
+    EXPECT_EQ(runs_with("7"), 7u);
+    EXPECT_EQ(runs_with(""), 3u);  // empty reads as unset
+    unsetenv("FAIRLEDGER_RUNS");
 }
 
 // -- bench-specific flags (BenchFlag) ----------------------------------------

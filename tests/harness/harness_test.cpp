@@ -2,11 +2,15 @@
 // and report rendering.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "harness/experiment.h"
 #include "harness/report.h"
 #include "harness/workload.h"
+#include "obs/metric_registry.h"
 
 namespace fl::harness {
 namespace {
@@ -197,26 +201,53 @@ TEST(ExperimentTest, ValidatesSpec) {
     EXPECT_THROW((void)run_experiment(spec), std::invalid_argument);
 }
 
-TEST(ExperimentTest, AuditedMultiGroupSpecThrows) {
-    // The audit accountant observes global order: run_once surfaces
-    // set_audit's refusal instead of quietly switching engines.
+TEST(ExperimentTest, AuditMessageFaultsAndTimeSeriesRunTogether) {
+    // One run with the fairness audit, lossy message delivery and a
+    // time-series recorder on net.simulator(): every observer attaches to
+    // the one engine, and the run stays within its invariants.
     ExperimentSpec spec;
     spec.config = tiny_config();
-    spec.config.partition = core::PartitionScheme::kRoles;
+    client::RetryParams& retry = spec.config.client_params.retry;
+    retry.enabled = true;
+    retry.endorsement_timeout = Duration::millis(300);
+    retry.commit_timeout = Duration::seconds(3);
+    sim::MessageFaultParams& faults = spec.config.faults.messages;
+    faults.drop_prob = 0.03;
+    faults.dup_prob = 0.02;
+    faults.delay_prob = 0.05;
     spec.make_workload = [] {
         Workload w;
-        LoadSpec load;
-        load.client_index = 0;
-        load.tps = 100.0;
-        load.total_txs = 10;
-        load.generate = single_chaincode("record_keeper");
-        w.loads.push_back(std::move(load));
+        for (std::size_t c = 0; c < 2; ++c) {
+            LoadSpec load;
+            load.client_index = c;
+            load.tps = 100.0;
+            load.total_txs = 40;
+            load.generate = priority_class_mix({1, 2, 1});
+            w.loads.push_back(std::move(load));
+        }
         return w;
     };
     spec.audit = obs::audit::AuditConfig{};
-    EXPECT_THROW((void)run_once(spec, 7), std::logic_error);
-    spec.config.partition = core::PartitionScheme::kSingle;
-    EXPECT_TRUE(run_once(spec, 7).audit.has_value());
+    std::unique_ptr<obs::TimeSeriesRecorder> recorder;
+    spec.instrument = [&recorder](core::FabricNetwork& net, unsigned) {
+        obs::MetricRegistry registry;
+        net.register_metrics(registry);
+        recorder = std::make_unique<obs::TimeSeriesRecorder>(
+            net.simulator(), std::move(registry), Duration::millis(50));
+        recorder->start();
+    };
+    std::uint64_t dropped = 0;
+    spec.run_probe = [&dropped](core::FabricNetwork& net, std::map<std::string, double>&) {
+        dropped = net.network().messages_dropped();
+    };
+
+    const RunResult r = run_once(spec, 7);
+    EXPECT_EQ(r.artifacts.violations, std::vector<std::string>{});
+    EXPECT_GT(r.metrics.committed_valid(), 0u);
+    EXPECT_GT(dropped, 0u);
+    ASSERT_TRUE(r.audit.has_value());
+    ASSERT_NE(recorder, nullptr);
+    EXPECT_GT(recorder->samples().size(), 1u);
 }
 
 TEST(ReportTest, TableRendersAligned) {

@@ -9,6 +9,14 @@
 namespace fl::sim {
 namespace {
 
+TEST(EventKeyTest, OrdersByTimeThenDomainThenSequence) {
+    const EventKey a{TimePoint::from_nanos(10), 5, 7};
+    EXPECT_LT(a, (EventKey{TimePoint::from_nanos(11), 0, 0}));
+    EXPECT_LT(a, (EventKey{TimePoint::from_nanos(10), 6, 0}));
+    EXPECT_LT(a, (EventKey{TimePoint::from_nanos(10), 5, 8}));
+    EXPECT_EQ(a, (EventKey{TimePoint::from_nanos(10), 5, 7}));
+}
+
 TEST(SimulatorTest, EventsRunInTimeOrder) {
     Simulator sim;
     std::vector<int> order;
@@ -203,6 +211,99 @@ TEST(SimulatorTest, NextEventTimePrunePreservesRunSemantics) {
         return std::tuple{executed, sim.now(), sim.last_event_at()};
     };
     EXPECT_EQ(drive(true), drive(false));
+}
+
+TEST(SimulatorTest, NextEventTimePruneDoesNotAdvanceClock) {
+    // The channel engine peeks between windows; a cancelled timer far in the
+    // future must not move now() past the window boundary.
+    Simulator sim;
+    TimerHandle h = sim.schedule_timer(Duration::millis(50), [] {});
+    h.cancel();
+    EXPECT_EQ(sim.next_event_time(), TimePoint::max());
+    EXPECT_EQ(sim.now(), TimePoint::origin());
+    EXPECT_EQ(sim.last_event_at(), TimePoint::origin() + Duration::millis(50));
+}
+
+TEST(SimulatorTest, ScheduleOnRunsUnderTargetDomainWithSenderKey) {
+    Simulator sim;
+    std::vector<DomainId> ran_as;
+    sim.set_domain(5);
+    sim.schedule_on(9, Duration::millis(1), [&] { ran_as.push_back(sim.domain()); });
+    // Same time, scheduled later by domain 5: the sender's sequence orders it
+    // after the first event even though domain 3 < 9.
+    sim.schedule_on(3, Duration::millis(1), [&] { ran_as.push_back(sim.domain()); });
+    sim.set_domain(7);
+    sim.schedule_after(Duration::millis(1), [&] { ran_as.push_back(sim.domain()); });
+    sim.run();
+    EXPECT_EQ(ran_as, (std::vector<DomainId>{9, 3, 7}));
+}
+
+TEST(SimulatorTest, EqualTimeEventsTieBreakByDomainThenDomainOrder) {
+    // At one timestamp the lower domain runs first whatever the schedule
+    // order, and each domain's events keep their own schedule order.
+    Simulator sim;
+    std::vector<int> order;
+    const auto at = [&](DomainId d, int tag) {
+        sim.set_domain(d);
+        sim.schedule_after(Duration::millis(1), [&order, tag] { order.push_back(tag); });
+    };
+    at(3, 30);
+    at(1, 10);
+    at(3, 31);
+    at(2, 20);
+    at(1, 11);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{10, 11, 20, 30, 31}));
+}
+
+TEST(SimulatorTest, EventsScheduledByAnEventRunUnderItsDomain) {
+    Simulator sim;
+    std::vector<DomainId> seen;
+    sim.set_domain(8);
+    sim.schedule_after(Duration::millis(1), [&] {
+        seen.push_back(sim.domain());
+        sim.schedule_after(Duration::millis(1), [&] { seen.push_back(sim.domain()); });
+    });
+    sim.set_domain(0);
+    sim.schedule_after(Duration::millis(5), [&] { seen.push_back(sim.domain()); });
+    sim.run();
+    EXPECT_EQ(seen, (std::vector<DomainId>{8, 8, 0}));
+}
+
+TEST(SimulatorTest, DomainScopeRestoresPreviousDomainWhenNested) {
+    Simulator sim;
+    sim.set_domain(2);
+    {
+        DomainScope outer(sim, 5);
+        EXPECT_EQ(sim.domain(), 5u);
+        {
+            DomainScope inner(sim, 9);
+            EXPECT_EQ(sim.domain(), 9u);
+        }
+        EXPECT_EQ(sim.domain(), 5u);
+    }
+    EXPECT_EQ(sim.domain(), 2u);
+}
+
+TEST(SimulatorTest, LastEventAtIgnoresRunUntilDeadline) {
+    Simulator sim;
+    EXPECT_EQ(sim.last_event_at(), TimePoint::origin());
+    sim.schedule_after(Duration::millis(2), [] {});
+    sim.schedule_after(Duration::millis(9), [] {});
+    sim.run_until(TimePoint::origin() + Duration::millis(5));
+    EXPECT_EQ(sim.now(), TimePoint::origin() + Duration::millis(5));
+    EXPECT_EQ(sim.last_event_at(), TimePoint::origin() + Duration::millis(2));
+    sim.run();
+    EXPECT_EQ(sim.last_event_at(), TimePoint::origin() + Duration::millis(9));
+}
+
+TEST(SimulatorTest, RunUntilIncludesEventsAtTheDeadline) {
+    Simulator sim;
+    const TimePoint deadline = TimePoint::origin() + Duration::millis(4);
+    sim.schedule_at(deadline, [] {});
+    sim.schedule_at(deadline + Duration::nanos(1), [] {});
+    EXPECT_EQ(sim.run_until(deadline), 1u);
+    EXPECT_EQ(sim.next_event_time(), deadline + Duration::nanos(1));
 }
 
 }  // namespace
