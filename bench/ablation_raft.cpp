@@ -134,6 +134,7 @@ int main(int argc, char** argv) {
 
     const harness::SweepCli cli =
         harness::parse_sweep_cli(argc, argv, /*default_seed=*/0, "ablation_raft");
+    harness::reject_run_and_capture_flags(cli, "ablation_raft");
     const std::uint64_t total_txs = cli.txs_or(600);
 
     harness::print_banner(

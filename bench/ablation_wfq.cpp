@@ -76,12 +76,8 @@ int main(int argc, char** argv) {
     using namespace fl;
 
     const auto cli = harness::parse_sweep_cli(argc, argv, 2024, "ablation_wfq");
-    if (!cli.trace_path.empty() || !cli.timeseries_path.empty()) {
-        // This bench is synthetic (no simulated network), so there is no
-        // transaction lifecycle or gauge set to capture.
-        std::cout << "note: --trace/--timeseries are ignored by ablation_wfq "
-                     "(no simulated network)\n";
-    }
+    // Synthetic (no simulated network): nothing to trace, sample or audit.
+    harness::reject_run_and_capture_flags(cli, "ablation_wfq");
     const std::vector<std::uint32_t> weights = {2, 3, 1};
     const policy::BlockFormationPolicy policy(weights);
     const auto fractions = policy.fractions();

@@ -289,6 +289,7 @@ void write_side(JsonWriter& jw, const char* key, const std::string& label,
 int main(int argc, char** argv) {
     const harness::SweepCli cli =
         harness::parse_sweep_cli(argc, argv, /*default_seed=*/42, "equivalence");
+    harness::reject_run_and_capture_flags(cli, "equivalence");
     const std::uint64_t txs = cli.txs_or(1'500);
 
     harness::print_banner(std::cout, "equivalence: every engine against its reference",

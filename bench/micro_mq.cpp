@@ -2,20 +2,24 @@
 // per record, and end-to-end simulated delivery throughput.
 #include <benchmark/benchmark.h>
 
-#include "mq/broker.h"
+#include "orderer/broker.h"
 
 namespace {
 
 using namespace fl;
 
+orderer::OrderedRecord rec(BlockNumber value) {
+    return orderer::OrderedRecord::time_to_cut(value, OsnId{0});
+}
+
 void BM_ProduceLocalNoSubscribers(benchmark::State& state) {
     sim::Simulator sim;
     sim::Network net(sim, Rng(1));
-    mq::Broker<int> broker(sim, net);
+    orderer::Broker broker(net);
     broker.create_topic("t");
-    int i = 0;
+    BlockNumber i = 0;
     for (auto _ : state) {
-        broker.produce_local("t", 100, i++);
+        broker.produce_local("t", 100, rec(i++));
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -28,15 +32,15 @@ void BM_ProduceFanout(benchmark::State& state) {
         state.PauseTiming();
         sim::Simulator sim;
         sim::Network net(sim, Rng(1));
-        mq::Broker<int> broker(sim, net);
+        orderer::Broker broker(net);
         broker.create_topic("t");
-        std::vector<std::shared_ptr<mq::Subscription<int>>> holders;
+        std::vector<std::shared_ptr<orderer::Subscription>> holders;
         for (std::int64_t s = 0; s < subs; ++s) {
             holders.push_back(broker.subscribe("t", NodeId{static_cast<std::uint64_t>(s)}));
         }
         state.ResumeTiming();
-        for (int i = 0; i < 1000; ++i) {
-            broker.produce_local("t", 100, i);
+        for (BlockNumber i = 0; i < 1000; ++i) {
+            broker.produce_local("t", 100, rec(i));
         }
         sim.run();
         benchmark::DoNotOptimize(holders.front()->ready_count());
@@ -53,12 +57,12 @@ void BM_SubscriptionReorderBuffer(benchmark::State& state) {
         sim::LinkParams link;
         link.jitter_stddev = Duration::micros(300);
         sim::Network net(sim, Rng(7), link);
-        mq::Broker<int> broker(sim, net);
+        orderer::Broker broker(net);
         broker.create_topic("t");
         auto sub = broker.subscribe("t", NodeId{5});
         state.ResumeTiming();
-        for (int i = 0; i < 1000; ++i) {
-            broker.produce("t", NodeId{1}, 100, i);
+        for (BlockNumber i = 0; i < 1000; ++i) {
+            broker.produce("t", NodeId{1}, 100, rec(i));
         }
         sim.run();
         int consumed = 0;

@@ -2,8 +2,8 @@
 // policies and the Multi-Queue Block Generator's per-block work.
 #include <benchmark/benchmark.h>
 
-#include "mq/broker.h"
 #include "orderer/block_generator.h"
+#include "orderer/broker.h"
 #include "policy/consolidation_policy.h"
 
 namespace {
@@ -32,7 +32,7 @@ void BM_MultiQueueBlockGeneration(benchmark::State& state) {
         link.base_latency = Duration::zero();
         link.jitter_stddev = Duration::zero();
         sim::Network net(sim, Rng(1), link);
-        mq::Broker<orderer::OrderedRecord> broker(sim, net);
+        orderer::Broker broker(net);
         orderer::GeneratorConfig cfg;
         cfg.block_size = 500;
         cfg.timeout = Duration::seconds(10);

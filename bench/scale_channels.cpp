@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
     const fl::harness::SweepCli cli = fl::harness::parse_sweep_cli(
         argc, argv, /*default_seed=*/42, "scale_channels",
         {&channels_flag, &window_flag});
+    fl::harness::reject_run_and_capture_flags(cli, "scale_channels");
 
     const std::uint64_t txs_per_channel = cli.txs_or(3000);
     const double tps = 500.0;

@@ -10,6 +10,7 @@
 #include "client/client.h"
 #include "common/time.h"
 #include "fault/fault_spec.h"
+#include "orderer/broker.h"
 #include "orderer/ordering_backend.h"
 #include "orderer/osn.h"
 #include "peer/peer.h"
@@ -27,7 +28,7 @@ namespace fl::core {
 inline constexpr std::uint64_t kPeerNodeBase = 100;
 inline constexpr std::uint64_t kOsnNodeBase = 200;
 inline constexpr std::uint64_t kClientNodeBase = 300;
-inline constexpr std::uint64_t kBrokerNode = 9000;
+inline constexpr std::uint64_t kBrokerNode = orderer::kBrokerNode;
 
 struct NetworkConfig {
     std::uint32_t orgs = 4;

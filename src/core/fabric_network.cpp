@@ -10,6 +10,7 @@
 #include "obs/audit/audit.h"
 #include "obs/metric_registry.h"
 #include "obs/trace.h"
+#include "orderer/broker.h"
 
 namespace fl::core {
 
@@ -38,18 +39,13 @@ void FabricNetwork::build() {
         // splitting here would shift every later component stream and break
         // the mq-vs-raft byte-identity contract (DESIGN.md §15).
         sim::DomainScope scope(sim_, kBrokerNode);
-        raft_backend_ = std::make_unique<raft::RaftOrderingBackend>(
+        auto raft = std::make_unique<raft::RaftOrderingBackend>(
             sim_, *net_, Rng(config_.seed ^ 0x5241465453454431ull),  // "RAFTSED1"
             config_.raft);
-        ordering_ = raft_backend_.get();
+        raft_backend_ = raft.get();
+        ordering_ = std::move(raft);
     } else {
-        mq::BrokerParams broker_params;
-        broker_params.node = NodeId{kBrokerNode};
-        sim::DomainScope scope(sim_, kBrokerNode);
-        broker_ = std::make_unique<mq::Broker<orderer::OrderedRecord>>(
-            sim_, *net_, broker_params);
-        mq_backend_ = std::make_unique<orderer::MqOrderingBackend>(*broker_);
-        ordering_ = mq_backend_.get();
+        ordering_ = std::make_unique<orderer::Broker>(*net_);
     }
 
     keys_.set_seed(config_.seed ^ 0x4B45595345454431ull);  // "KEYSEED1"
@@ -336,7 +332,7 @@ void FabricNetwork::install_broker_hook() {
     }
     ordering_->set_on_append(
         [sink, audit, levels = std::move(levels), sim = &sim_](
-            const std::string& topic, mq::Offset offset,
+            const std::string& topic, orderer::Offset offset,
             const orderer::OrderedRecord& rec, std::size_t wire) {
             if (rec.is_config()) return;  // config updates carry no tx id
             PriorityLevel level = kUnassignedPriority;

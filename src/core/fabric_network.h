@@ -1,7 +1,8 @@
 // FabricNetwork — builds and owns a complete simulated network: the
-// discrete-event simulator, the network fabric, the mq broker (Kafka),
-// the key store (PKI), the chaincode registry, and all peers, OSNs and
-// clients, fully wired per a NetworkConfig.
+// discrete-event simulator, the network fabric, the ordering backend (the
+// Kafka-style broker or a Raft cluster), the key store (PKI), the chaincode
+// registry, and all peers, OSNs and clients, fully wired per a
+// NetworkConfig.
 //
 // This is the library's main entry point:
 //
@@ -28,7 +29,6 @@
 #include "core/metrics.h"
 #include "crypto/signature.h"
 #include "fault/fault_spec.h"
-#include "mq/broker.h"
 #include "orderer/ordering_backend.h"
 #include "orderer/osn.h"
 #include "raft/raft.h"
@@ -68,9 +68,7 @@ public:
     /// The ordering substrate, whichever backend is configured.
     [[nodiscard]] orderer::OrderingBackend& ordering() { return *ordering_; }
     /// The Raft cluster, or null when the mq backend is configured.
-    [[nodiscard]] raft::RaftOrderingBackend* raft_backend() {
-        return raft_backend_.get();
-    }
+    [[nodiscard]] raft::RaftOrderingBackend* raft_backend() { return raft_backend_; }
     [[nodiscard]] sim::Network& network() { return *net_; }
 
     /// Registers a completion callback wired to every client.
@@ -161,10 +159,8 @@ private:
     Rng rng_;
     sim::Simulator sim_;
     std::unique_ptr<sim::Network> net_;
-    std::unique_ptr<mq::Broker<orderer::OrderedRecord>> broker_;  ///< kMq only
-    std::unique_ptr<orderer::MqOrderingBackend> mq_backend_;      ///< kMq only
-    std::unique_ptr<raft::RaftOrderingBackend> raft_backend_;     ///< kRaft only
-    orderer::OrderingBackend* ordering_ = nullptr;  ///< the active backend
+    std::unique_ptr<orderer::OrderingBackend> ordering_;
+    raft::RaftOrderingBackend* raft_backend_ = nullptr;  ///< kRaft: ordering_; else null
     crypto::KeyStore keys_;
     chaincode::Registry registry_;
 

@@ -6,6 +6,7 @@
 #include <iostream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/json.h"
 #include "common/log.h"
@@ -356,6 +357,22 @@ SweepCli parse_sweep_cli(int argc, char** argv, std::uint64_t default_seed,
         }
     }
     return cli;
+}
+
+void reject_run_and_capture_flags(const SweepCli& cli, const std::string& bench_name) {
+    const std::pair<const char*, bool> given[] = {
+        {"--runs", cli.runs.has_value()},
+        {"--trace", !cli.trace_path.empty()},
+        {"--timeseries", !cli.timeseries_path.empty()},
+        {"--audit", cli.audit},
+        {"--audit-window", cli.audit_window_seen},
+    };
+    for (const auto& [flag, seen] : given) {
+        if (seen) {
+            std::cerr << bench_name << ": " << flag << " is not supported by this bench\n";
+            std::exit(2);
+        }
+    }
 }
 
 void apply_audit_cli(SweepSpec& spec, const SweepCli& cli) {

@@ -157,6 +157,12 @@ struct BenchFlag {
                                        const std::string& bench_name,
                                        const std::vector<BenchFlag*>& extra);
 
+/// For benches that run a fixed set of single runs and capture nothing
+/// (ablation_raft, ablation_wfq, equivalence, scale_channels): prints a
+/// message naming the flag and exits 2 when --runs, --trace, --timeseries,
+/// --audit or --audit-window was given, rather than ignoring it.
+void reject_run_and_capture_flags(const SweepCli& cli, const std::string& bench_name);
+
 /// Writes the sweep JSON to cli.json_path unless --no-json; announces the
 /// path on `status` (stdout in the benches).  Returns true when written.
 bool emit_sweep_json(const SweepCli& cli, const SweepSpec& spec,

@@ -74,7 +74,7 @@ void Osn::crash() {
     ++epoch_;
     ++crashes_;
     // Volatile state dies with the process.  Destroying the generator drops
-    // its subscriptions; the broker prunes the expired weak references, so
+    // its subscriptions; the backend prunes the expired weak references, so
     // no more records are pushed to this OSN until it re-subscribes.
     generator_.reset();
     last_hash_.reset();

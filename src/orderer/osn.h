@@ -88,11 +88,11 @@ public:
     Osn& operator=(const Osn&) = delete;
 
     /// Subscribes to the channel topics and starts the block generator.
-    /// Topics must already exist on the broker.
+    /// Topics must already exist on the ordering backend.
     void start();
 
     /// Fault injection: crash the OSN.  All volatile ordering state (block
-    /// generator, consume positions, chained hashes) is lost; the broker log
+    /// generator, consume positions, chained hashes) is lost; the topic log
     /// — the durable state in the Kafka design — survives.  In-flight CPU
     /// work is invalidated via an epoch counter.  Idempotent.
     void crash();

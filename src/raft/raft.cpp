@@ -1,7 +1,6 @@
 #include "raft/raft.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <unordered_set>
 
 #include "common/log.h"
@@ -24,10 +23,6 @@ sim::LinkParams consensus_link() {
     return link;
 }
 
-/// Same wire framing as mq::BrokerParams::record_overhead_bytes, so both
-/// backends charge identical bytes on the shared data-path links.
-constexpr std::size_t kRecordOverheadBytes = 64;
-
 constexpr std::size_t kAppendHeaderBytes = 48;
 constexpr std::size_t kPerEntryHeaderBytes = 24;
 constexpr std::size_t kReplyBytes = 32;
@@ -38,8 +33,8 @@ constexpr std::size_t kSnapshotBytes = 64;
 
 RaftOrderingBackend::RaftOrderingBackend(sim::Simulator& sim, sim::Network& net,
                                          Rng rng, RaftParams params)
-    : sim_(sim),
-      net_(net),
+    : OrderingBackend(net),
+      sim_(sim),
       params_(params),
       raft_net_(sim, rng.split("raftnet"), consensus_link()),
       drop_rng_(rng.split("raftdrop")),
@@ -81,101 +76,30 @@ const RaftOrderingBackend::Entry& RaftOrderingBackend::entry_at(
 
 // -- OrderingBackend surface ------------------------------------------------
 
-void RaftOrderingBackend::create_topic(const std::string& name) {
-    if (topic_ids_.contains(name)) return;
-    const auto id = static_cast<std::uint32_t>(topics_.size());
-    topics_.push_back(TopicLog{});
-    topics_.back().name = name;
-    topic_ids_.emplace(name, id);
-}
-
-bool RaftOrderingBackend::has_topic(const std::string& name) const {
-    return topic_ids_.contains(name);
-}
-
-RaftOrderingBackend::TopicLog& RaftOrderingBackend::topic_ref(
-    const std::string& name) {
-    const auto it = topic_ids_.find(name);
-    if (it == topic_ids_.end()) {
-        throw std::invalid_argument("RaftOrderingBackend: unknown topic " + name);
-    }
-    return topics_[it->second];
-}
-
-const RaftOrderingBackend::TopicLog& RaftOrderingBackend::topic_ref(
-    const std::string& name) const {
-    const auto it = topic_ids_.find(name);
-    if (it == topic_ids_.end()) {
-        throw std::invalid_argument("RaftOrderingBackend: unknown topic " + name);
-    }
-    return topics_[it->second];
-}
-
 void RaftOrderingBackend::produce(const std::string& topic, NodeId producer,
                                   std::size_t size_bytes,
                                   orderer::OrderedRecord value) {
-    const std::uint32_t tid = topic_ids_.at(topic);
-    const std::size_t wire = size_bytes + kRecordOverheadBytes;
+    const std::uint32_t tid = topic_id(topic);
+    const std::size_t wire = size_bytes + kFramingBytes;
     // Same call shape as the mq broker: one reliable hop from the producer
     // to the cluster contact, so the main network draws the identical jitter
     // sequence under either backend.
-    net_.send_reliable(producer, node(), wire,
-                       [this, tid, wire, value = std::move(value)]() mutable {
-                           submit(tid, wire, std::move(value));
-                       });
+    network().send_reliable(producer, node(), wire,
+                            [this, tid, wire, value = std::move(value)]() mutable {
+                                submit(tid, wire, std::move(value));
+                            });
 }
 
-mq::Offset RaftOrderingBackend::produce_local(const std::string& topic,
-                                              std::size_t size_bytes,
-                                              orderer::OrderedRecord value) {
-    const std::uint32_t tid = topic_ids_.at(topic);
-    const std::size_t wire = size_bytes + kRecordOverheadBytes;
-    mq::Offset off = static_cast<mq::Offset>(topics_[tid].records.size());
+orderer::Offset RaftOrderingBackend::produce_local(const std::string& topic,
+                                                   std::size_t size_bytes,
+                                                   orderer::OrderedRecord value) {
+    const std::uint32_t tid = topic_id(topic);
+    orderer::Offset off = committed_size(tid);
     if (const auto it = pending_by_topic_.find(tid); it != pending_by_topic_.end()) {
         off += it->second;  // in-flight submissions land first
     }
-    submit(tid, wire, std::move(value));
+    submit(tid, size_bytes + kFramingBytes, std::move(value));
     return off;
-}
-
-std::shared_ptr<RaftOrderingBackend::SubscriptionT> RaftOrderingBackend::subscribe(
-    const std::string& topic, NodeId consumer_node, mq::Offset from_offset) {
-    TopicLog& log = topic_ref(topic);
-    if (from_offset > log.records.size()) {
-        throw std::out_of_range("RaftOrderingBackend::subscribe: offset " +
-                                std::to_string(from_offset) + " past end of " +
-                                topic + " (size " +
-                                std::to_string(log.records.size()) + ")");
-    }
-    auto sub = std::make_shared<SubscriptionT>();
-    sub->next_offset_ = from_offset;
-    log.subscribers.push_back(Subscriber{consumer_node, sub});
-    for (mq::Offset off = from_offset; off < log.records.size(); ++off) {
-        push_to(log, log.subscribers.back(), off, log.sizes[off]);
-    }
-    return sub;
-}
-
-const orderer::OrderedRecord& RaftOrderingBackend::read(const std::string& topic,
-                                                        mq::Offset offset) const {
-    const TopicLog& log = topic_ref(topic);
-    if (offset >= log.records.size()) {
-        throw std::out_of_range("RaftOrderingBackend::read: offset " +
-                                std::to_string(offset) + " past end of " + topic +
-                                " (size " + std::to_string(log.records.size()) +
-                                ")");
-    }
-    return log.records[offset];
-}
-
-std::size_t RaftOrderingBackend::topic_size(const std::string& topic) const {
-    const auto it = topic_ids_.find(topic);
-    return it == topic_ids_.end() ? 0 : topics_[it->second].records.size();
-}
-
-const std::vector<orderer::OrderedRecord>& RaftOrderingBackend::log_of(
-    const std::string& topic) const {
-    return topic_ref(topic).records;
 }
 
 void RaftOrderingBackend::set_down(bool down) {
@@ -466,35 +390,12 @@ void RaftOrderingBackend::apply_entry(const Entry& e) {
         ++dup_commits_skipped_;
         return;
     }
-    TopicLog& log = topics_[e.topic];
-    const auto off = static_cast<mq::Offset>(log.records.size());
-    log.records.push_back(e.record);
-    log.sizes.push_back(e.wire);
-    FL_TRACE("raft: " << log.name << " apply @" << off << " (seq " << e.seq
-                      << ", " << e.wire << " B)");
-    if (on_append_) on_append_(log.name, off, log.records.back(), e.wire);
-    std::erase_if(log.subscribers,
-                  [](const Subscriber& s) { return s.sub.expired(); });
-    for (const Subscriber& s : log.subscribers) {
-        push_to(log, s, off, e.wire);
-    }
+    append(e.topic, e.wire, e.record);
     if (const auto cnt = pending_by_topic_.find(e.topic);
         cnt != pending_by_topic_.end() && cnt->second > 0) {
         --cnt->second;
     }
     pending_.erase(it);
-}
-
-void RaftOrderingBackend::push_to(TopicLog& log, const Subscriber& s,
-                                  mq::Offset off, std::size_t wire) {
-    // Fanout originates at the node that applied the entry (the current
-    // leader, or the bootstrap contact when leaderless during replay).
-    const NodeId from = leader_alive() ? node_id(leader_) : node();
-    std::weak_ptr<SubscriptionT> weak = s.sub;
-    const orderer::OrderedRecord& value = log.records[off];
-    net_.send_reliable(from, s.node, wire, [weak, off, value] {
-        if (auto sub = weak.lock()) sub->on_push(off, value);
-    });
 }
 
 void RaftOrderingBackend::maybe_compact() {

@@ -1,13 +1,13 @@
 // Deterministic simulated-time Raft ordering backend (DESIGN.md §15).
 //
 // A cluster of N in-simulation Raft nodes replaces the single Kafka-style
-// broker behind the OrderingBackend interface.  The replicated state machine
-// is the set of priority-topic logs: a client `produce` becomes a Raft log
-// entry; once the entry is replicated to a majority and committed it is
-// applied — appended to its topic's committed projection and fanned out to
-// subscribers exactly once.  OSN crash/restart replay, TTC semantics, the
-// append hook and the consistency checks all read the committed projection,
-// so everything above the interface is backend-agnostic.
+// broker as the OrderingBackend.  The replicated state machine is the set of
+// priority-topic logs: a client `produce` becomes a Raft log entry; once the
+// entry is replicated to a majority and committed it is applied — appended
+// to the backend's committed topic log, which fans it out to subscribers
+// exactly once.  OSN crash/restart replay, TTC semantics, the append hook
+// and the consistency checks all read that log, so everything above the
+// base class is backend-agnostic.
 //
 // Determinism contract (the whole point of this implementation):
 //   - consensus messages travel over a dedicated zero-latency sim::Network
@@ -49,7 +49,7 @@
 #include "common/rng.h"
 #include "common/time.h"
 #include "common/types.h"
-#include "mq/broker.h"
+#include "orderer/broker.h"
 #include "orderer/ordering_backend.h"
 #include "orderer/record.h"
 #include "raft/params.h"
@@ -63,10 +63,10 @@ class TraceSink;
 namespace fl::raft {
 
 /// Raft node addresses: node i lives at kRaftNodeBase + i.  Node 0 shares
-/// the mq broker's address (9000) and bootstraps as leader of term 1, so
+/// the mq broker's address and bootstraps as leader of term 1, so
 /// fault-free produce/fanout traffic traverses the identical links in the
 /// identical order as the mq backend (the byte-identity argument).
-inline constexpr std::uint64_t kRaftNodeBase = 9000;
+inline constexpr std::uint64_t kRaftNodeBase = orderer::kBrokerNode;
 
 /// Target sentinel for restart faults: revive every crashed node.
 inline constexpr std::uint32_t kAllNodes = 0xFFFFFFFFu;
@@ -82,26 +82,12 @@ public:
     RaftOrderingBackend(sim::Simulator& sim, sim::Network& net, Rng rng,
                         RaftParams params);
 
-    RaftOrderingBackend(const RaftOrderingBackend&) = delete;
-    RaftOrderingBackend& operator=(const RaftOrderingBackend&) = delete;
-
     // -- OrderingBackend ----------------------------------------------------
-    void create_topic(const std::string& name) override;
-    [[nodiscard]] bool has_topic(const std::string& name) const override;
     void produce(const std::string& topic, NodeId producer, std::size_t size_bytes,
                  orderer::OrderedRecord value) override;
-    mq::Offset produce_local(const std::string& topic, std::size_t size_bytes,
-                             orderer::OrderedRecord value) override;
-    std::shared_ptr<SubscriptionT> subscribe(const std::string& topic,
-                                             NodeId consumer_node,
-                                             mq::Offset from_offset = 0) override;
-    [[nodiscard]] const orderer::OrderedRecord& read(const std::string& topic,
-                                                     mq::Offset offset) const override;
-    [[nodiscard]] std::size_t topic_size(const std::string& topic) const override;
-    [[nodiscard]] const std::vector<orderer::OrderedRecord>& log_of(
-        const std::string& topic) const override;
+    orderer::Offset produce_local(const std::string& topic, std::size_t size_bytes,
+                                  orderer::OrderedRecord value) override;
     [[nodiscard]] NodeId node() const override { return NodeId{kRaftNodeBase}; }
-    void set_on_append(AppendHook hook) override { on_append_ = std::move(hook); }
 
     /// Whole-cluster outage: every node crashes (durable state survives);
     /// closing the window restarts them and re-elects.  Submissions during
@@ -209,18 +195,6 @@ private:
         Rng rng{0};  ///< election-timeout stream
     };
 
-    struct Subscriber {
-        NodeId node;
-        std::weak_ptr<SubscriptionT> sub;
-    };
-
-    struct TopicLog {
-        std::string name;
-        std::vector<orderer::OrderedRecord> records;
-        std::vector<std::size_t> sizes;
-        std::vector<Subscriber> subscribers;
-    };
-
     // Log geometry helpers (global, 1-based indices).
     [[nodiscard]] std::uint64_t last_index(const Node& n) const {
         return n.snap_index + n.log.size();
@@ -281,16 +255,15 @@ private:
     void maybe_arm_retry(std::uint32_t l);
     void on_topology_change();
 
-    // Projection.
-    TopicLog& topic_ref(const std::string& name);
-    [[nodiscard]] const TopicLog& topic_ref(const std::string& name) const;
-    void push_to(TopicLog& log, const Subscriber& s, mq::Offset off,
-                 std::size_t wire);
+    /// Fanout leaves from the node that applied the entry: the current
+    /// leader, or the bootstrap contact when leaderless during replay.
+    [[nodiscard]] NodeId fanout_node() const override {
+        return leader_alive() ? node_id(leader_) : node();
+    }
     void trace_event(std::uint8_t type, std::uint64_t actor, std::uint64_t value,
                      std::uint64_t value2) const;
 
     sim::Simulator& sim_;
-    sim::Network& net_;  ///< main network: produce + subscriber fanout
     RaftParams params_;
     sim::Network raft_net_;  ///< consensus backplane (zero latency, own rng)
     Rng drop_rng_;
@@ -305,12 +278,8 @@ private:
     std::uint64_t next_seq_ = 0;
     std::unordered_map<std::uint32_t, std::uint64_t> pending_by_topic_;
 
-    // Committed projection (the replicated state machine).
-    std::vector<TopicLog> topics_;
-    std::unordered_map<std::string, std::uint32_t> topic_ids_;
     std::uint64_t applied_ = 0;  ///< cluster commit/apply point (global index)
 
-    AppendHook on_append_;
     obs::TraceSink* trace_ = nullptr;
 
     bool down_ = false;

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "harness/sweep.h"
@@ -291,6 +292,42 @@ TEST(CliParseTest, ApplyAuditCliIsANoOpWithoutFlags) {
     apply_audit_cli(spec, parse({"--txs", "10"}));
     EXPECT_FALSE(spec.points[0].spec.audit.has_value());
     EXPECT_EQ(spec.points[1].spec.audit->window, Duration::millis(2000));
+}
+
+// -- reject_run_and_capture_flags: accepted-then-ignored flags exit 2 --------
+
+void reject(std::vector<const char*> argv) {
+    reject_run_and_capture_flags(parse(std::move(argv)), "fixed_bench");
+}
+
+TEST(CliDeathTest, IgnoredRunsRejected) {
+    EXPECT_EXIT(reject({"--runs", "3"}), ::testing::ExitedWithCode(2),
+                "fixed_bench: --runs is not supported");
+}
+
+TEST(CliDeathTest, IgnoredTraceRejected) {
+    EXPECT_EXIT(reject({"--trace", "t.json"}), ::testing::ExitedWithCode(2),
+                "fixed_bench: --trace is not supported");
+}
+
+TEST(CliDeathTest, IgnoredTimeseriesRejected) {
+    EXPECT_EXIT(reject({"--timeseries", "ts.jsonl"}), ::testing::ExitedWithCode(2),
+                "fixed_bench: --timeseries is not supported");
+}
+
+TEST(CliDeathTest, IgnoredAuditRejected) {
+    EXPECT_EXIT(reject({"--audit"}), ::testing::ExitedWithCode(2),
+                "fixed_bench: --audit is not supported");
+}
+
+TEST(CliDeathTest, IgnoredAuditWindowRejected) {
+    EXPECT_EXIT(reject({"--audit-window", "500"}), ::testing::ExitedWithCode(2),
+                "fixed_bench: --audit-window is not supported");
+}
+
+TEST(CliParseTest, FlagsAFixedBenchReadsAreAccepted) {
+    // Returns: a fixed bench reads every one of these.
+    reject({"--threads", "2", "--seed", "7", "--txs", "300", "--no-json"});
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 
 #include <map>
 
-#include "mq/broker.h"
 #include "orderer/block_generator.h"
+#include "orderer/broker.h"
 #include "orderer/record.h"
 
 namespace fl::orderer {
@@ -27,12 +27,12 @@ struct OsnSim {
 struct Cluster {
     sim::Simulator sim;
     sim::Network net;
-    mq::Broker<OrderedRecord> broker;
+    Broker broker;
     std::vector<std::unique_ptr<OsnSim>> osns;
     std::vector<std::string> topics;
 
     explicit Cluster(std::uint64_t seed)
-        : net(sim, Rng(seed), jittery_link()), broker(sim, net) {}
+        : net(sim, Rng(seed), jittery_link()), broker(net) {}
 
     static sim::LinkParams jittery_link() {
         sim::LinkParams p;

@@ -84,23 +84,6 @@ TEST(RaftTest, ProduceWithNetworkHopAlsoCommits) {
     EXPECT_EQ(f.raft.commit_index(), 5u + 0u);  // no no-ops in term 1
 }
 
-TEST(RaftTest, SubscribeBoundarySemanticsMatchTheBroker) {
-    Fixture f;
-    for (std::uint64_t i = 0; i < 3; ++i) f.raft.produce_local("t", 100, rec(i));
-    f.sim.run();
-    // Offset == size is the live tail; past it is a caller bug.
-    auto tail = f.raft.subscribe("t", NodeId{50}, 3);
-    EXPECT_THROW((void)f.raft.subscribe("t", NodeId{50}, 4), std::out_of_range);
-    auto mid = f.raft.subscribe("t", NodeId{51}, 1);
-    f.sim.run();
-    EXPECT_FALSE(tail->has_ready());
-    std::vector<std::uint64_t> suffix;
-    while (mid->has_ready()) suffix.push_back(mid->pop().envelope->tx_id().value());
-    EXPECT_EQ(suffix, (std::vector<std::uint64_t>{1, 2}));
-    EXPECT_THROW((void)f.raft.read("t", 3), std::out_of_range);
-    EXPECT_EQ(f.raft.read("t", 0).envelope->tx_id().value(), 0u);
-}
-
 TEST(RaftTest, LeaderCrashMidReplicationElectsAndCommitsExactlyOnce) {
     Fixture f;
     // Submit with the appends still in flight, then crash the leader at the
