@@ -19,7 +19,6 @@
 // is the CI chaos gate for the ordering backend; the JSON is byte-identical
 // at any --threads value.
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -248,10 +247,7 @@ int main(int argc, char** argv) {
     std::cout << "\nBackend equivalence (fault-free, byte-level):\n";
     eq_table.print(std::cout);
     std::cout << "\n" << json.str();
-    if (cli.json_enabled) {
-        std::ofstream f(cli.json_path);
-        f << json.str();
-    }
+    if (cli.json_enabled) harness::write_output_file(cli.json_path, json.str());
 
     if (!all_ok) {
         std::cout << "\nRAFT SAFETY VIOLATION (see tables above)\n";

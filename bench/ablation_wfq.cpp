@@ -16,9 +16,9 @@
 // work unit writing its own pre-sized result slot.
 #include <array>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "common/json.h"
@@ -76,8 +76,9 @@ int main(int argc, char** argv) {
     using namespace fl;
 
     const auto cli = harness::parse_sweep_cli(argc, argv, 2024, "ablation_wfq");
-    // Synthetic (no simulated network): nothing to trace, sample or audit.
-    harness::reject_run_and_capture_flags(cli, "ablation_wfq");
+    // Synthetic (no simulated network, no rng): nothing to seed, size,
+    // trace, sample or audit.
+    harness::reject_run_and_capture_flags(cli, "ablation_wfq", /*synthetic=*/true);
     const std::vector<std::uint32_t> weights = {2, 3, 1};
     const policy::BlockFormationPolicy policy(weights);
     const auto fractions = policy.fractions();
@@ -141,28 +142,27 @@ int main(int argc, char** argv) {
                  "every class its *arrival* share instead\n(no isolation).\n";
 
     if (cli.json_enabled) {
-        std::ofstream file(cli.json_path);
-        if (file) {
-            JsonWriter json(file);
+        std::ostringstream out;
+        JsonWriter json(out);
+        json.begin_object();
+        json.field("bench", "ablation_wfq");
+        json.key("results");
+        json.begin_array();
+        for (std::size_t d = 0; d < 3; ++d) {
             json.begin_object();
-            json.field("bench", "ablation_wfq");
-            json.key("results");
+            json.field("discipline", names[d]);
+            json.key("share");
             json.begin_array();
-            for (std::size_t d = 0; d < 3; ++d) {
-                json.begin_object();
-                json.field("discipline", names[d]);
-                json.key("share");
-                json.begin_array();
-                for (const double s : results[d].share) json.value(s);
-                json.end_array();
-                json.field("worst_norm_gap", results[d].worst_gap);
-                json.end_object();
-            }
+            for (const double s : results[d].share) json.value(s);
             json.end_array();
+            json.field("worst_norm_gap", results[d].worst_gap);
             json.end_object();
-            file << "\n";
-            std::cout << "per-point JSON written to " << cli.json_path << "\n";
         }
+        json.end_array();
+        json.end_object();
+        out << "\n";
+        harness::write_output_file(cli.json_path, out.str());
+        std::cout << "per-point JSON written to " << cli.json_path << "\n";
     }
     return 0;
 }

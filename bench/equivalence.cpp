@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -27,13 +26,11 @@
 #include <string>
 #include <thread>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "fig_common.h"
 #include "common/json.h"
 #include "common/thread_pool.h"
-#include "harness/channels.h"
 
 namespace {
 
@@ -44,12 +41,13 @@ constexpr std::uint32_t kHotAccounts = 6;
 constexpr std::uint64_t kZipfAccounts = 20'000;
 constexpr double kZipfTps = 2'000.0;  // well past the 500 tps knee
 
-/// One variant of a row: a single-network spec (harness::run_once) or a
-/// multi-channel spec (harness::run_multi_channel) and the pool the channel
-/// engine drains on (null = the serial channel loop).
+/// One variant of a row: a spec run by harness::run_once, or, with a
+/// channel layout, by harness::run_multi_channel on `pool` (null = the
+/// serial channel loop).
 struct Side {
     std::string label;
-    std::variant<harness::ExperimentSpec, harness::MultiChannelSpec> spec;
+    harness::ExperimentSpec spec;
+    std::optional<core::ChannelLayout> layout = std::nullopt;
     ThreadPool* pool = nullptr;
 };
 
@@ -81,30 +79,29 @@ struct Row {
 
 /// Runs `side` at `seed` with a trace captured.
 Outcome run(const Side& side, std::uint64_t seed) {
+    harness::ExperimentSpec spec = side.spec;
+    spec.capture_trace = true;
+    spec.run_probe = [](core::FabricNetwork& net, std::map<std::string, double>& extra) {
+        extra["wave_blocks"] =
+            static_cast<double>(net.peers().front()->blocks_wave_validated());
+    };
     Outcome out;
-    if (const auto* multi = std::get_if<harness::MultiChannelSpec>(&side.spec)) {
-        harness::MultiChannelSpec spec = *multi;
-        spec.seed = seed;
-        spec.capture_trace = true;
-        harness::MultiChannelResult r = harness::run_multi_channel(spec, side.pool);
-        for (harness::ChannelRunResult& ch : r.channels) {
-            out.committed += ch.metrics.committed_valid();
-            out.channels.push_back(std::move(ch.artifacts));
-        }
+    std::vector<harness::RunResult> results;
+    if (side.layout) {
+        harness::MultiChannelResult r =
+            harness::run_multi_channel(spec, *side.layout, seed, side.pool);
+        results = std::move(r.channels);
         out.meter = r.meter;
         out.windows = r.windows;
-        out.wall_s = r.drain_wall_s;
-        return out;
+    } else {
+        results.push_back(harness::run_once(spec, seed));
     }
-    harness::ExperimentSpec spec = std::get<harness::ExperimentSpec>(side.spec);
-    spec.capture_trace = true;
-    spec.run_probe = [&out](core::FabricNetwork& net, std::map<std::string, double>&) {
-        out.wave_blocks = net.peers().front()->blocks_wave_validated();
-    };
-    harness::RunResult r = harness::run_once(spec, seed);
-    out.committed = r.metrics.committed_valid();
-    out.wall_s = r.drain_wall_s;
-    out.channels.push_back(std::move(r.artifacts));
+    for (harness::RunResult& r : results) {
+        out.committed += r.metrics.committed_valid();
+        out.wave_blocks += static_cast<std::uint64_t>(r.extra["wave_blocks"]);
+        out.wall_s = r.drain_wall_s;
+        out.channels.push_back(std::move(r.artifacts));
+    }
     return out;
 }
 
@@ -196,8 +193,8 @@ harness::ExperimentSpec zipf_spec(core::NetworkConfig cfg, std::uint64_t txs) {
 }
 
 /// `spec` with a tweak applied.
-template <typename Spec, typename Tweak>
-Spec with(Spec spec, Tweak tweak) {
+template <typename Tweak>
+harness::ExperimentSpec with(harness::ExperimentSpec spec, Tweak tweak) {
     tweak(spec);
     return spec;
 }
@@ -233,20 +230,12 @@ std::vector<Row> make_rows(std::uint64_t txs, ThreadPool& pool) {
 
     // The channel-sharded engine against the serial channel loop; one
     // channel also against the single-network harness.
+    const harness::ExperimentSpec paper = paper_spec(txs);
     for (const std::size_t n : {1u, 4u, 8u}) {
-        harness::MultiChannelSpec spec;
-        spec.config = core::MultiChannelConfig::uniform(
-            bench::paper_config(/*priority_enabled=*/true), n);
-        spec.make_workload = [clients = spec.config.base.clients, txs](std::size_t) {
-            return bench::paper_workload(clients, kPaperTps, txs);
-        };
-        Row row{"channels/" + std::to_string(n), {"serial", spec}, {{"pooled", spec, &pool}}};
-        if (n == 1) {
-            harness::ExperimentSpec legacy;
-            legacy.config = spec.config.channel_config(0);
-            legacy.make_workload = [make = spec.make_workload] { return make(0); };
-            row.b.push_back({"run_once", legacy});
-        }
+        const core::ChannelLayout layout = core::ChannelLayout::uniform(n);
+        Row row{"channels/" + std::to_string(n), {"serial", paper, layout},
+                {{"pooled", paper, layout, &pool}}};
+        if (n == 1) row.b.push_back({"run_once", paper});
         rows.push_back(std::move(row));
     }
 
@@ -369,12 +358,12 @@ int main(int argc, char** argv) {
               << " hardware thread(s).\n";
     harness::print_sweep_footer(std::cout, pairs, pool_size, wall);
 
-    if (cli.json_enabled && !cli.json_path.empty()) {
-        std::ofstream(cli.json_path) << json.str();
+    if (cli.json_enabled) {
+        harness::write_output_file(cli.json_path, json.str());
         std::string timing_path = cli.json_path;
         if (timing_path.ends_with(".json")) timing_path.resize(timing_path.size() - 5);
         timing_path += "_timing.json";
-        std::ofstream(timing_path) << timing_json.str();
+        harness::write_output_file(timing_path, timing_json.str());
         std::cout << "wrote " << cli.json_path << " and " << timing_path
                   << " (host-dependent timings)\n";
     }

@@ -12,7 +12,6 @@
 // BENCH_*.json bytes depend on --seed alone.
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -21,7 +20,6 @@
 #include "fig_common.h"
 #include "common/json.h"
 #include "common/thread_pool.h"
-#include "harness/channels.h"
 
 using Clock = std::chrono::steady_clock;
 
@@ -67,26 +65,26 @@ int main(int argc, char** argv) {
 
     bool all_ok = true;
     const auto started = Clock::now();
+    fl::harness::ExperimentSpec spec;
+    spec.config = fl::bench::paper_config(/*priority_enabled=*/true);
+    spec.make_workload = [clients = spec.config.clients, tps, txs_per_channel] {
+        return fl::bench::paper_workload(clients, tps, txs_per_channel);
+    };
     for (const std::size_t n : counts) {
-        fl::harness::MultiChannelSpec spec;
-        spec.config = fl::core::MultiChannelConfig::uniform(
-            fl::bench::paper_config(/*priority_enabled=*/true), n);
-        spec.config.sync_window =
+        fl::core::ChannelLayout layout = fl::core::ChannelLayout::uniform(n);
+        layout.sync_window =
             fl::Duration::millis(static_cast<std::int64_t>(window_flag.value));
-        const std::size_t clients = spec.config.base.clients;
-        spec.make_workload = [clients, tps, txs_per_channel](std::size_t) {
-            return fl::bench::paper_workload(clients, tps, txs_per_channel);
-        };
-        spec.seed = cli.base_seed;
 
         const fl::harness::MultiChannelResult run =
-            fl::harness::run_multi_channel(spec, &pool);
-        for (const auto& ch : run.channels) {
-            if (ch.artifacts.violations.empty()) continue;
+            fl::harness::run_multi_channel(spec, layout, cli.base_seed, &pool);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::vector<std::string>& violations =
+                run.channels[i].artifacts.violations;
+            if (violations.empty()) continue;
             all_ok = false;
             std::cout << "INVARIANT VIOLATION (" << n << " channels, ch"
-                      << ch.id.value() << "):";
-            for (const std::string& v : ch.artifacts.violations) std::cout << " " << v;
+                      << layout.resolved_id(spec.config, i).value() << "):";
+            for (const std::string& v : violations) std::cout << " " << v;
             std::cout << "\n";
         }
 
@@ -99,7 +97,7 @@ int main(int argc, char** argv) {
              std::to_string(run.windows),
              fl::harness::fmt(meter.channel_jain_overall(), 3),
              fl::harness::fmt(meter.client_jain_overall(), 3),
-             fl::harness::fmt(run.drain_wall_s, 2)});
+             fl::harness::fmt(run.channels.front().drain_wall_s, 2)});
 
         jw.begin_object();
         jw.field("channels", static_cast<std::uint64_t>(n));
@@ -135,9 +133,8 @@ int main(int argc, char** argv) {
               << pool_size << " worker(s).\n";
     fl::harness::print_sweep_footer(std::cout, counts.size(), pool_size, wall);
 
-    if (cli.json_enabled && !cli.json_path.empty()) {
-        std::ofstream out(cli.json_path);
-        out << json.str();
+    if (cli.json_enabled) {
+        fl::harness::write_output_file(cli.json_path, json.str());
         std::cout << "wrote " << cli.json_path << "\n";
     }
 

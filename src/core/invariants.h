@@ -3,8 +3,9 @@
 // order, valid hash chains, no transaction committed twice — plus exactly
 // one terminal state per client submission.
 //
-// harness::run_once and harness::run_multi_channel evaluate them after
-// every drain, so every bench is a safety gate.  The checker reports only
+// The one network run lifecycle behind harness::run_once and
+// harness::run_multi_channel evaluates them after every drain (per
+// channel), so every bench is a safety gate.  The checker reports only
 // safety: scenario expectations (an OSN left dead on purpose, a failover
 // that must have happened) stay with the caller.
 #pragma once

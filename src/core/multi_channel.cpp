@@ -27,16 +27,18 @@ T sum_of(const std::vector<T>& v) {
 
 }  // namespace
 
-ChannelId MultiChannelConfig::resolved_id(std::size_t index) const {
+ChannelId ChannelLayout::resolved_id(const NetworkConfig& base,
+                                     std::size_t index) const {
     const ChannelSpec& spec = channels.at(index);
     if (spec.id.value() != 0) return spec.id;
     return ChannelId{base.channel.id.value() + index};
 }
 
-NetworkConfig MultiChannelConfig::channel_config(std::size_t index) const {
+NetworkConfig ChannelLayout::channel_config(const NetworkConfig& base,
+                                            std::size_t index) const {
     const ChannelSpec& spec = channels.at(index);
     NetworkConfig cfg = base;
-    cfg.channel.id = resolved_id(index);
+    cfg.channel.id = resolved_id(base, index);
     if (spec.priority_enabled) cfg.channel.priority_enabled = *spec.priority_enabled;
     if (spec.priority_levels) cfg.channel.priority_levels = *spec.priority_levels;
     if (spec.block_policy) cfg.channel.block_policy = *spec.block_policy;
@@ -47,30 +49,26 @@ NetworkConfig MultiChannelConfig::channel_config(std::size_t index) const {
     return cfg;
 }
 
-void MultiChannelConfig::validate() const {
+void ChannelLayout::validate(const NetworkConfig& base) const {
     if (channels.empty()) {
-        throw std::invalid_argument(
-            "MultiChannelConfig: at least one channel is required");
+        throw std::invalid_argument("ChannelLayout: at least one channel is required");
     }
     if (sync_window <= Duration::zero()) {
-        throw std::invalid_argument(
-            "MultiChannelConfig: sync_window must be positive");
+        throw std::invalid_argument("ChannelLayout: sync_window must be positive");
     }
     std::unordered_set<std::uint64_t> ids;
     for (std::size_t i = 0; i < channels.size(); ++i) {
-        if (!ids.insert(resolved_id(i).value()).second) {
-            throw std::invalid_argument(
-                "MultiChannelConfig: duplicate channel id " +
-                std::to_string(resolved_id(i).value()));
+        if (!ids.insert(resolved_id(base, i).value()).second) {
+            throw std::invalid_argument("ChannelLayout: duplicate channel id " +
+                                        std::to_string(resolved_id(base, i).value()));
         }
     }
 }
 
-MultiChannelConfig MultiChannelConfig::uniform(NetworkConfig base, std::size_t n) {
-    MultiChannelConfig cfg;
-    cfg.base = std::move(base);
-    cfg.channels.assign(n, ChannelSpec{});
-    return cfg;
+ChannelLayout ChannelLayout::uniform(std::size_t n) {
+    ChannelLayout layout;
+    layout.channels.assign(n, ChannelSpec{});
+    return layout;
 }
 
 std::uint64_t channel_seed(std::uint64_t run_seed, std::size_t index) {
@@ -93,22 +91,22 @@ double CrossChannelMeter::org_cpu_jain_overall() const {
     return obs::audit::jain_index(endorse_cpu_per_org);
 }
 
-MultiChannelNetwork::MultiChannelNetwork(MultiChannelConfig config)
-    : config_(std::move(config)) {
-    config_.validate();
-    nets_.reserve(config_.channel_count());
-    for (std::size_t i = 0; i < config_.channel_count(); ++i) {
-        NetworkConfig cfg = config_.channel_config(i);
-        cfg.seed = channel_seed(config_.base.seed, i);
+MultiChannelNetwork::MultiChannelNetwork(NetworkConfig base, ChannelLayout layout)
+    : base_(std::move(base)), layout_(std::move(layout)) {
+    layout_.validate(base_);
+    nets_.reserve(layout_.channel_count());
+    for (std::size_t i = 0; i < layout_.channel_count(); ++i) {
+        NetworkConfig cfg = layout_.channel_config(base_, i);
+        cfg.seed = channel_seed(base_.seed, i);
         nets_.push_back(std::make_unique<FabricNetwork>(std::move(cfg)));
     }
     const std::size_t n = nets_.size();
     prev_committed_.assign(n, 0);
-    prev_org_cpu_.assign(config_.base.orgs, 0.0);
-    prev_client_completed_.assign(config_.base.clients, 0);
+    prev_org_cpu_.assign(base_.orgs, 0.0);
+    prev_client_completed_.assign(base_.clients, 0);
     meter_.committed_per_channel.assign(n, 0);
-    meter_.endorse_cpu_per_org.assign(config_.base.orgs, 0.0);
-    meter_.completed_per_client.assign(config_.base.clients, 0);
+    meter_.endorse_cpu_per_org.assign(base_.orgs, 0.0);
+    meter_.completed_per_client.assign(base_.clients, 0);
 }
 
 void MultiChannelNetwork::register_metrics(obs::MetricRegistry& registry) {
@@ -119,7 +117,7 @@ void MultiChannelNetwork::register_metrics(obs::MetricRegistry& registry) {
 }
 
 std::uint64_t MultiChannelNetwork::run(ThreadPool* pool) {
-    const std::int64_t w = config_.sync_window.as_nanos();
+    const std::int64_t w = layout_.sync_window.as_nanos();
     const std::size_t n = nets_.size();
     std::vector<std::uint64_t> counts(n, 0);
     std::uint64_t executed = 0;
@@ -159,9 +157,9 @@ std::uint64_t MultiChannelNetwork::run(ThreadPool* pool) {
 
 void MultiChannelNetwork::boundary_sample(TimePoint window_end) {
     const std::size_t n = nets_.size();
-    const std::uint32_t orgs = config_.base.orgs;
-    const std::uint32_t per_org = config_.base.peers_per_org;
-    const std::uint32_t clients = config_.base.clients;
+    const std::uint32_t orgs = base_.orgs;
+    const std::uint32_t per_org = base_.peers_per_org;
+    const std::uint32_t clients = base_.clients;
 
     // Cumulative readings at this boundary (single-threaded, channel order).
     std::vector<std::uint64_t> committed(n, 0);

@@ -6,7 +6,7 @@
 // FabricNetworks — each with its own Simulator, broker/Raft cluster, peers,
 // OSNs and clients — built from one shared base NetworkConfig plus a
 // per-channel ChannelSpec override (block policy, priority levels,
-// consolidation, block cutting, ordering backend).
+// consolidation, block cutting, ordering backend) — a ChannelLayout.
 //
 // The engine advances all channels through conservative time windows on a
 // fixed grid (multiples of sync_window anchored at the origin):
@@ -42,10 +42,9 @@
 
 namespace fl::core {
 
-/// Per-channel overrides applied on top of MultiChannelConfig::base.  Unset
-/// fields default to the base NetworkConfig's channel settings — the
-/// "per-channel policy defaulting" contract tested in
-/// tests/core/multi_channel_test.cpp.
+/// Per-channel overrides applied on top of the base NetworkConfig.  Unset
+/// fields default to the base's channel settings — the "per-channel policy
+/// defaulting" contract tested in tests/core/multi_channel_test.cpp.
 struct ChannelSpec {
     /// 0 = auto-assign base.channel.id + index (so a single default-spec
     /// channel keeps the base id and legacy byte-identity).
@@ -59,9 +58,10 @@ struct ChannelSpec {
     std::optional<orderer::OrderingBackendKind> ordering_backend;
 };
 
-struct MultiChannelConfig {
-    /// Template for every channel: node counts, cost model, seed, faults.
-    NetworkConfig base;
+/// How a base NetworkConfig splits into channels: one ChannelSpec per
+/// channel plus the engine's synchronization window.  The base itself (node
+/// counts, cost model, seed, faults) is stated once, by the caller.
+struct ChannelLayout {
     /// One entry per channel; must be non-empty with distinct resolved ids.
     std::vector<ChannelSpec> channels{ChannelSpec{}};
     /// Conservative synchronization window of the sharded engine.  Pure
@@ -71,21 +71,23 @@ struct MultiChannelConfig {
 
     [[nodiscard]] std::size_t channel_count() const { return channels.size(); }
 
-    /// The id channel `index` actually runs with (explicit or auto).
-    [[nodiscard]] ChannelId resolved_id(std::size_t index) const;
+    /// The id channel `index` runs with over `base` (explicit or auto).
+    [[nodiscard]] ChannelId resolved_id(const NetworkConfig& base,
+                                        std::size_t index) const;
 
-    /// The full single-channel NetworkConfig for channel `index`: the base
+    /// The full single-channel NetworkConfig for channel `index`: `base`
     /// with the spec's overrides applied.  The seed is left untouched —
     /// callers derive per-channel seeds via channel_seed().
-    [[nodiscard]] NetworkConfig channel_config(std::size_t index) const;
+    [[nodiscard]] NetworkConfig channel_config(const NetworkConfig& base,
+                                               std::size_t index) const;
 
-    /// Throws std::invalid_argument on an ill-formed config: no channels,
-    /// duplicate resolved channel ids, or a non-positive sync_window.
-    void validate() const;
+    /// Throws std::invalid_argument on an ill-formed layout over `base`: no
+    /// channels, duplicate resolved channel ids, or a non-positive
+    /// sync_window.
+    void validate(const NetworkConfig& base) const;
 
     /// N channels, all default specs (auto ids base.channel.id + i).
-    [[nodiscard]] static MultiChannelConfig uniform(NetworkConfig base,
-                                                    std::size_t n);
+    [[nodiscard]] static ChannelLayout uniform(std::size_t n);
 };
 
 /// Seed for channel `index` of a run seeded `run_seed`.  Channel 0 keeps
@@ -141,9 +143,9 @@ struct CrossChannelMeter {
 /// N independent per-channel FabricNetworks plus the sharded engine.
 class MultiChannelNetwork {
 public:
-    /// Validates `config` (see MultiChannelConfig::validate) and builds
-    /// every channel's network with seed channel_seed(config.base.seed, i).
-    explicit MultiChannelNetwork(MultiChannelConfig config);
+    /// Validates `layout` over `base` (see ChannelLayout::validate) and
+    /// builds every channel's network with seed channel_seed(base.seed, i).
+    MultiChannelNetwork(NetworkConfig base, ChannelLayout layout);
 
     MultiChannelNetwork(const MultiChannelNetwork&) = delete;
     MultiChannelNetwork& operator=(const MultiChannelNetwork&) = delete;
@@ -156,9 +158,8 @@ public:
         return *nets_[index];
     }
     [[nodiscard]] ChannelId channel_id(std::size_t index) const {
-        return config_.resolved_id(index);
+        return layout_.resolved_id(base_, index);
     }
-    [[nodiscard]] const MultiChannelConfig& config() const { return config_; }
 
     /// Registers every channel's standard gauge set under a "ch<id>_"
     /// prefix, so N channels coexist in one registry without name clashes.
@@ -177,7 +178,8 @@ public:
 private:
     void boundary_sample(TimePoint window_end);
 
-    MultiChannelConfig config_;
+    NetworkConfig base_;
+    ChannelLayout layout_;
     std::vector<std::unique_ptr<FabricNetwork>> nets_;
     CrossChannelMeter meter_;
     std::uint64_t windows_ = 0;

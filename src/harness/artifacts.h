@@ -2,10 +2,11 @@
 // contract covers (metrics JSON, trace JSONL, ledger fingerprints, counts)
 // plus the safety verdict of core::check_invariants.
 //
-// harness::run_once fills one per run and harness::run_multi_channel one
-// per channel, both through capture_artifacts, so every equivalence gate —
-// serial vs parallel validator, serial vs channel-sharded, multi-channel vs the
-// single-network harness — is `diff(a, b).empty()`.
+// The one network run lifecycle (harness/experiment.cpp) fills one per
+// network through capture_artifacts — per run under harness::run_once, per
+// channel under harness::run_multi_channel — so every equivalence gate —
+// serial vs parallel validator, serial vs channel-sharded, multi-channel vs
+// the single-network harness — is `diff(a, b).empty()`.
 #pragma once
 
 #include <cstdint>

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/invariants.h"
 #include "harness/sweep.h"
@@ -25,68 +28,113 @@ std::unique_ptr<obs::audit::AuditAccountant> make_audit(
     return std::make_unique<obs::audit::AuditAccountant>(std::move(config));
 }
 
+namespace {
+
+/// The one network lifecycle, applied to every network of a run: attach
+/// the observers, drain all networks with `drain`, collect.  run_once
+/// passes one network and run_multi_channel one per channel, so the order
+/// here is the byte contract for both.  A network's instrument index is
+/// `first_index` plus its position.
+std::vector<RunResult> drive(const ExperimentSpec& spec,
+                             const std::vector<core::FabricNetwork*>& nets,
+                             unsigned first_index, const std::function<void()>& drain) {
+    if (!spec.make_workload) throw std::invalid_argument("harness: no workload factory");
+    const std::size_t n = nets.size();
+    std::vector<RunResult> results(n);  // stable slots: the tx sinks write into them
+    std::vector<std::uint64_t> sink_records(n, 0);
+    std::vector<std::unique_ptr<obs::audit::AuditAccountant>> audits(n);
+    std::vector<obs::TraceSink> traces(n);
+    std::vector<std::unique_ptr<WorkloadDriver>> drivers;
+    for (std::size_t i = 0; i < n; ++i) {
+        core::FabricNetwork& net = *nets[i];
+        net.set_tx_sink([&spec, &net, &result = results[i],
+                         &records = sink_records[i]](const client::TxRecord& r) {
+            ++records;
+            result.metrics.record(r);
+            if (spec.tx_probe) spec.tx_probe(r, net, result.extra);
+        });
+        // Attach the audit before any traffic: it is purely observational (no
+        // events scheduled, no rng draws), so results are identical either way.
+        if (spec.audit) {
+            audits[i] = make_audit(*spec.audit, net.config().channel);
+            net.set_audit(audits[i].get());
+        }
+        drivers.push_back(std::make_unique<WorkloadDriver>(
+            net, spec.make_workload(), Rng(net.config().seed ^ 0x574B4C44ull)));
+        drivers.back()->start();
+        if (spec.capture_trace) {
+            // Tag only real multi-channel traces: a 1-channel capture stays
+            // byte-identical to run_once's.
+            if (n > 1) traces[i].set_channel(net.config().channel.id.value());
+            net.set_trace_sink(&traces[i]);
+        }
+        // Instrument after the workload is scheduled: a sampling recorder
+        // armed against an empty event queue would never fire (it only
+        // re-arms while other events are pending, so the sim can drain).
+        if (spec.instrument) spec.instrument(net, first_index + static_cast<unsigned>(i));
+    }
+
+    const auto drain_started = std::chrono::steady_clock::now();
+    drain();
+    const double drain_wall_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - drain_started)
+            .count();
+
+    for (std::size_t i = 0; i < n; ++i) {
+        core::FabricNetwork& net = *nets[i];
+        RunResult& result = results[i];
+        // The last executed event is what now() reads after a plain run();
+        // the windowed engine's now() stops at the window boundary instead.
+        if (audits[i]) {
+            audits[i]->finalize(net.last_event_at());
+            result.audit = audits[i]->report();
+        }
+        // Probes see the network after the checker and before the artifact
+        // fingerprints: world-state read-lock counters (scale_state) count
+        // every fingerprint taken, so this order is part of the byte contract.
+        std::vector<std::string> violations = core::check_invariants(net, sink_records[i]);
+        if (spec.run_probe) spec.run_probe(net, result.extra);
+        result.artifacts =
+            capture_artifacts(net, result.metrics, result.audit ? &*result.audit : nullptr,
+                              spec.capture_trace ? &traces[i] : nullptr, std::move(violations));
+        result.txs_invalid = net.peers().front()->txs_invalid();
+        for (const auto& osn : net.osns()) {
+            result.consolidation_failures += osn->consolidation_failures();
+        }
+        result.level_totals = net.osns().front()->level_totals();
+        result.drain_wall_s = drain_wall_s;
+    }
+    return results;
+}
+
+}  // namespace
+
 RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
                    unsigned run_index) {
     core::NetworkConfig config = spec.config;
     config.seed = seed;
-    obs::TraceSink trace;  // outlives the network that points at it
-    core::FabricNetwork net(config);
+    core::FabricNetwork net(std::move(config));
+    return std::move(drive(spec, {&net}, run_index, [&net] { net.run(); }).front());
+}
 
-    RunResult result;
-    std::uint64_t sink_records = 0;
-    net.set_tx_sink([&result, &spec, &net, &sink_records](const client::TxRecord& r) {
-        ++sink_records;
-        result.metrics.record(r);
-        if (spec.tx_probe) spec.tx_probe(r, net, result.extra);
-    });
+MultiChannelResult run_multi_channel(const ExperimentSpec& spec,
+                                     const core::ChannelLayout& layout,
+                                     std::uint64_t seed, ThreadPool* pool) {
+    core::NetworkConfig base = spec.config;
+    base.seed = seed;
+    core::MultiChannelNetwork engine(std::move(base), layout);
+    std::vector<core::FabricNetwork*> nets;
+    for (std::size_t i = 0; i < engine.channel_count(); ++i) nets.push_back(&engine.channel(i));
 
-    // Attach the audit before any traffic: it is purely observational (no
-    // events scheduled, no rng draws), so results are identical either way.
-    std::unique_ptr<obs::audit::AuditAccountant> audit;
-    if (spec.audit) {
-        audit = make_audit(*spec.audit, config.channel);
-        net.set_audit(audit.get());
-    }
-
-    Workload workload = spec.make_workload();
-    WorkloadDriver driver(net, std::move(workload), Rng(seed ^ 0x574B4C44ull));
-    driver.start();
-    if (spec.capture_trace) net.set_trace_sink(&trace);
-    // Instrument after the workload is scheduled: a sampling recorder armed
-    // against an empty event queue would never fire (it only re-arms while
-    // other events are pending, so the sim can drain).
-    if (spec.instrument) spec.instrument(net, run_index);
-    const auto drain_started = std::chrono::steady_clock::now();
-    net.run();
-    result.drain_wall_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - drain_started)
-                              .count();
-
-    if (audit) {
-        audit->finalize(net.simulator().now());
-        result.audit = audit->report();
-    }
-    // Probes see the network after the checker and before the artifact
-    // fingerprints: world-state read-lock counters (scale_state) count every
-    // fingerprint taken, so this order is part of the byte contract.
-    std::vector<std::string> violations = core::check_invariants(net, sink_records);
-    if (spec.run_probe) spec.run_probe(net, result.extra);
-
-    result.artifacts =
-        capture_artifacts(net, result.metrics, result.audit ? &*result.audit : nullptr,
-                          spec.capture_trace ? &trace : nullptr, std::move(violations));
-    result.txs_invalid = net.peers().front()->txs_invalid();
-    for (const auto& osn : net.osns()) {
-        result.consolidation_failures += osn->consolidation_failures();
-    }
-    result.level_totals = net.osns().front()->level_totals();
+    MultiChannelResult result;
+    result.channels =
+        drive(spec, nets, 0, [&] { result.events_executed = engine.run(pool); });
+    result.meter = engine.meter();
+    result.windows = engine.windows_executed();
     return result;
 }
 
 AggregateResult run_experiment(const ExperimentSpec& spec) {
-    if (!spec.make_workload) {
-        throw std::invalid_argument("run_experiment: no workload factory");
-    }
     if (spec.runs == 0) {
         throw std::invalid_argument("run_experiment: runs must be >= 1");
     }

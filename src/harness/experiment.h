@@ -7,6 +7,12 @@
 // no state with other runs, which is what lets `harness::run_sweep`
 // (harness/sweep.h) execute independent experiment points on a thread pool
 // without changing any result.
+//
+// One network's lifecycle is written once (experiment.cpp) and driven two
+// ways: run_once drains one network, run_multi_channel drains every channel
+// of a core::MultiChannelNetwork.  Fabric channels are independent ledgers,
+// so each channel runs run_once's lifecycle and a fault-free 1-channel run
+// is byte-identical to run_once on the same spec and seed.
 #pragma once
 
 #include <functional>
@@ -18,6 +24,7 @@
 
 #include "core/fabric_network.h"
 #include "core/metrics.h"
+#include "core/multi_channel.h"
 #include "harness/artifacts.h"
 #include "harness/workload.h"
 #include "obs/audit/audit.h"
@@ -46,14 +53,16 @@ struct ExperimentSpec {
     bool keep_run_metrics = false;
     /// When true, every run records a trace into RunArtifacts::trace_jsonl.
     /// The sink attaches after the workload is scheduled and before
-    /// `instrument`, exactly as run_multi_channel attaches its channel sinks.
+    /// `instrument`; under run_multi_channel it is tagged with the channel
+    /// id when the run has more than one channel.
     bool capture_trace = false;
 
     /// Observability hook, invoked once per run after the workload is
     /// scheduled but before the simulation drains — the point where a trace
     /// sink or a TimeSeriesRecorder can attach to the live network (the
     /// recorder needs pending events to arm its sampling timer against).
-    /// The second argument is the run index (0-based).
+    /// The second argument is the run index (0-based) under run_once and
+    /// the channel index under run_multi_channel.
     std::function<void(core::FabricNetwork&, unsigned)> instrument;
 
     /// When set, each run attaches a fresh AuditAccountant (obs/audit) with
@@ -76,9 +85,19 @@ struct RunResult {
     std::map<std::string, double> extra;      ///< probe-filled counters
     /// Finalized fairness-audit report (only when ExperimentSpec::audit).
     std::optional<obs::audit::AuditReport> audit;
-    /// Host wall-clock seconds of the drain (net.run()) alone.  Host-
-    /// dependent: for stdout and timing artifacts, never deterministic JSON.
+    /// Host wall-clock seconds of the drain alone (under run_multi_channel,
+    /// the whole engine's drain).  Host-dependent: for stdout and timing
+    /// artifacts, never deterministic JSON.
     double drain_wall_s = 0.0;
+};
+
+/// Everything observable about one multi-channel run.
+struct MultiChannelResult {
+    /// One result per channel, in layout order.
+    std::vector<RunResult> channels;
+    core::CrossChannelMeter meter;
+    std::uint64_t events_executed = 0;
+    std::uint64_t windows = 0;
 };
 
 /// Per-run means of the pipeline-phase latencies, aggregated across runs.
@@ -126,13 +145,23 @@ struct AggregateResult {
     [[nodiscard]] double extra_total(const std::string& key) const;
 };
 
-/// Executes one run with the given seed — the one driver every bench and
-/// gate uses: network → tx sink → audit → WorkloadDriver(Rng(seed ^
-/// 0x574B4C44)) → start → trace → instrument → drain → audit finalize →
+/// Executes one run with the given seed through the network lifecycle:
+/// network → tx sink → audit → WorkloadDriver(Rng(seed ^ 0x574B4C44)) →
+/// start → trace → instrument → drain → audit finalize at the last event →
 /// core::check_invariants → run_probe → artifacts.  `run_index` is forwarded
 /// to ExperimentSpec::instrument.
 [[nodiscard]] RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
                                  unsigned run_index = 0);
+
+/// Runs every channel of `layout` over the base spec.config, each through
+/// run_once's lifecycle with seed core::channel_seed(seed, i) and
+/// instrument index i, and drains them together on the channel-sharded
+/// engine.  `pool == nullptr` selects the serial reference engine; the
+/// results are byte-identical either way (DESIGN.md §16).
+[[nodiscard]] MultiChannelResult run_multi_channel(const ExperimentSpec& spec,
+                                                   const core::ChannelLayout& layout,
+                                                   std::uint64_t seed,
+                                                   ThreadPool* pool = nullptr);
 
 /// A fresh fairness-audit accountant for one network; empty level_weights
 /// default from the channel's block policy (one level when priorities are

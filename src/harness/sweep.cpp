@@ -5,7 +5,9 @@
 #include <fstream>
 #include <iostream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "common/json.h"
@@ -282,6 +284,7 @@ SweepCli parse_sweep_cli(int argc, char** argv, std::uint64_t default_seed,
                 parse_positive_u64(arg, next(), bench_name, extra));
         } else if (arg == "--seed") {
             cli.base_seed = parse_u64(arg, next(), bench_name, extra);
+            cli.seed_seen = true;
         } else if (arg == "--runs") {
             cli.runs = static_cast<unsigned>(
                 parse_positive_u64(arg, next(), bench_name, extra));
@@ -356,16 +359,24 @@ SweepCli parse_sweep_cli(int argc, char** argv, std::uint64_t default_seed,
             matched->seen = true;
         }
     }
+    if (cli.trace_point && cli.trace_path.empty() && cli.timeseries_path.empty()) {
+        std::cerr << "--trace-point: needs --trace or --timeseries\n";
+        usage(bench_name, 2, extra);
+    }
     return cli;
 }
 
-void reject_run_and_capture_flags(const SweepCli& cli, const std::string& bench_name) {
+void reject_run_and_capture_flags(const SweepCli& cli, const std::string& bench_name,
+                                  bool synthetic) {
     const std::pair<const char*, bool> given[] = {
         {"--runs", cli.runs.has_value()},
         {"--trace", !cli.trace_path.empty()},
         {"--timeseries", !cli.timeseries_path.empty()},
+        {"--trace-point", cli.trace_point.has_value()},
         {"--audit", cli.audit},
         {"--audit-window", cli.audit_window_seen},
+        {"--seed", synthetic && cli.seed_seen},
+        {"--txs", synthetic && cli.total_txs.has_value()},
     };
     for (const auto& [flag, seen] : given) {
         if (seen) {
@@ -387,19 +398,24 @@ void apply_audit_cli(SweepSpec& spec, const SweepCli& cli) {
     }
 }
 
-bool emit_sweep_json(const SweepCli& cli, const SweepSpec& spec,
+void write_output_file(const std::string& path, std::string_view contents) {
+    std::ofstream file(path, std::ios::binary);
+    file.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+    file.close();
+    if (!file) {
+        std::cerr << "cannot write output file " << path << "\n";
+        std::exit(2);
+    }
+}
+
+void emit_sweep_json(const SweepCli& cli, const SweepSpec& spec,
                      const std::vector<PointResult>& results,
                      std::ostream& status) {
-    if (!cli.json_enabled) return false;
-    std::ofstream file(cli.json_path);
-    if (!file) {
-        status << "WARNING: cannot open JSON output path " << cli.json_path
-               << "\n";
-        return false;
-    }
-    write_sweep_json(file, spec, results);
+    if (!cli.json_enabled) return;
+    std::ostringstream json;
+    write_sweep_json(json, spec, results);
+    write_output_file(cli.json_path, json.str());
     status << "per-point JSON written to " << cli.json_path << "\n";
-    return true;
 }
 
 void arm_trace_capture(SweepSpec& spec, const SweepCli& cli,
@@ -408,11 +424,11 @@ void arm_trace_capture(SweepSpec& spec, const SweepCli& cli,
     const bool want_series = !cli.timeseries_path.empty();
     if ((!want_trace && !want_series) || spec.points.empty()) return;
 
-    std::size_t idx = cli.trace_point;
+    const std::size_t idx = cli.trace_point.value_or(0);
     if (idx >= spec.points.size()) {
-        status << "WARNING: --trace-point " << idx << " out of range ("
-               << spec.points.size() << " points); tracing point 0\n";
-        idx = 0;
+        std::cerr << "--trace-point " << idx << " out of range (" << spec.points.size()
+                  << " points)\n";
+        std::exit(2);
     }
     status << "instrumenting point " << idx << " ('" << spec.points[idx].label
            << "'), run 0\n";
@@ -442,22 +458,16 @@ bool emit_trace_files(const SweepCli& cli, const TraceCapture& capture,
                       std::ostream& status) {
     bool wrote = false;
     if (!cli.trace_path.empty()) {
-        std::ofstream file(cli.trace_path);
-        if (!file) {
-            status << "WARNING: cannot open trace output path "
-                   << cli.trace_path << "\n";
+        std::ostringstream trace;
+        if (cli.trace_path.ends_with(".jsonl")) {
+            capture.sink.write_jsonl(trace);
         } else {
-            if (cli.trace_path.size() >= 6 &&
-                cli.trace_path.compare(cli.trace_path.size() - 6, 6,
-                                       ".jsonl") == 0) {
-                capture.sink.write_jsonl(file);
-            } else {
-                capture.sink.write_chrome_json(file);
-            }
-            status << "trace (" << capture.sink.size() << " events) written to "
-                   << cli.trace_path << "\n";
-            wrote = true;
+            capture.sink.write_chrome_json(trace);
         }
+        write_output_file(cli.trace_path, trace.str());
+        status << "trace (" << capture.sink.size() << " events) written to "
+               << cli.trace_path << "\n";
+        wrote = true;
     }
     if (!cli.timeseries_path.empty()) {
         if (!capture.recorder) {
@@ -465,17 +475,12 @@ bool emit_trace_files(const SweepCli& cli, const TraceCapture& capture,
                       "never executed?); skipping " << cli.timeseries_path
                    << "\n";
         } else {
-            std::ofstream file(cli.timeseries_path);
-            if (!file) {
-                status << "WARNING: cannot open time-series output path "
-                       << cli.timeseries_path << "\n";
-            } else {
-                capture.recorder->write_jsonl(file);
-                status << "time series (" << capture.recorder->samples().size()
-                       << " samples) written to " << cli.timeseries_path
-                       << "\n";
-                wrote = true;
-            }
+            std::ostringstream series;
+            capture.recorder->write_jsonl(series);
+            write_output_file(cli.timeseries_path, series.str());
+            status << "time series (" << capture.recorder->samples().size()
+                   << " samples) written to " << cli.timeseries_path << "\n";
+            wrote = true;
         }
     }
     return wrote;

@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -87,13 +88,16 @@ void write_sweep_json(std::ostream& os, const SweepSpec& spec,
 struct SweepCli {
     unsigned threads = 0;            ///< --threads N (0 = hardware_concurrency)
     std::uint64_t base_seed = 0;     ///< --seed S
+    bool seed_seen = false;          ///< --seed appeared explicitly
     std::string json_path;           ///< --json PATH
     bool json_enabled = true;        ///< --no-json clears it
     std::optional<unsigned> runs;          ///< --runs R (overrides env)
     std::optional<std::uint64_t> total_txs;  ///< --txs T (overrides env)
     std::string trace_path;          ///< --trace PATH (empty = no trace)
     std::string timeseries_path;     ///< --timeseries PATH (empty = none)
-    std::size_t trace_point = 0;     ///< --trace-point N (which grid point)
+    /// --trace-point N (which grid point; unset = point 0).  Requires
+    /// --trace or --timeseries.
+    std::optional<std::size_t> trace_point;
     bool audit = false;              ///< --audit (fairness audit on every point)
     std::uint64_t audit_window_ms = 1000;  ///< --audit-window MS
     bool audit_window_seen = false;  ///< --audit-window appeared explicitly
@@ -143,7 +147,8 @@ struct BenchFlag {
 /// --trace/--timeseries/--trace-point/--audit/--audit-window/--log-level
 /// (--help prints usage and exits; an unknown --log-level name is rejected
 /// at the CLI).  Malformed numbers and zero/negative --threads/--runs/--txs
-/// print a clear message and exit with code 2.  `bench_name` sets the
+/// print a clear message and exit with code 2, as does --trace-point
+/// without --trace or --timeseries.  `bench_name` sets the
 /// default JSON path (BENCH_local_<name>.json) and `default_seed` the
 /// default --seed.
 [[nodiscard]] SweepCli parse_sweep_cli(int argc, char** argv,
@@ -160,12 +165,21 @@ struct BenchFlag {
 /// For benches that run a fixed set of single runs and capture nothing
 /// (ablation_raft, ablation_wfq, equivalence, scale_channels): prints a
 /// message naming the flag and exits 2 when --runs, --trace, --timeseries,
-/// --audit or --audit-window was given, rather than ignoring it.
-void reject_run_and_capture_flags(const SweepCli& cli, const std::string& bench_name);
+/// --trace-point, --audit or --audit-window was given, rather than ignoring
+/// it.  A `synthetic` bench (no simulated network, no rng: ablation_wfq)
+/// rejects --seed and --txs too.
+void reject_run_and_capture_flags(const SweepCli& cli, const std::string& bench_name,
+                                  bool synthetic = false);
 
-/// Writes the sweep JSON to cli.json_path unless --no-json; announces the
-/// path on `status` (stdout in the benches).  Returns true when written.
-bool emit_sweep_json(const SweepCli& cli, const SweepSpec& spec,
+/// The one writer of bench output files (JSON, timing JSON, traces, time
+/// series): writes `contents` to `path`, or prints a message naming the
+/// path and exits 2 when it cannot be written.
+void write_output_file(const std::string& path, std::string_view contents);
+
+/// Writes the sweep JSON to cli.json_path unless --no-json (exit 2 when the
+/// path is unwritable); announces the path on `status` (stdout in the
+/// benches).
+void emit_sweep_json(const SweepCli& cli, const SweepSpec& spec,
                      const std::vector<PointResult>& results,
                      std::ostream& status);
 
@@ -187,13 +201,14 @@ struct TraceCapture {
 
 /// Installs an instrument hook on the point selected by cli.trace_point when
 /// --trace and/or --timeseries were given; no-op otherwise.  An out-of-range
-/// --trace-point falls back to point 0 with a warning on `status`.
+/// --trace-point prints a message and exits 2.
 void arm_trace_capture(SweepSpec& spec, const SweepCli& cli,
                        TraceCapture& capture, std::ostream& status);
 
 /// Writes the captured trace (Chrome trace-event JSON, or JSONL when the
 /// path ends in ".jsonl") and/or the time-series JSONL after the sweep
-/// completes.  Returns true if any file was written.
+/// completes (exit 2 on an unwritable path).  Returns true if any file was
+/// written.
 bool emit_trace_files(const SweepCli& cli, const TraceCapture& capture,
                       std::ostream& status);
 

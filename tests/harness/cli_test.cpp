@@ -1,11 +1,16 @@
-// CLI hardening for the bench drivers: strict numeric parsing and typed
-// rejection (exit code 2) of malformed / zero / negative count flags.
+// CLI hardening for the bench drivers: strict numeric parsing, typed
+// rejection (exit code 2) of malformed / zero / negative count flags and of
+// flags a bench would ignore, and the one output-file writer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -325,9 +330,63 @@ TEST(CliDeathTest, IgnoredAuditWindowRejected) {
                 "fixed_bench: --audit-window is not supported");
 }
 
+TEST(CliDeathTest, IgnoredTracePointRejected) {
+    // parse_sweep_cli already refuses --trace-point without a capture flag,
+    // and a capture flag is rejected first; the check itself still names it.
+    SweepCli cli;
+    cli.trace_point = 1;
+    EXPECT_EXIT(reject_run_and_capture_flags(cli, "fixed_bench"),
+                ::testing::ExitedWithCode(2),
+                "fixed_bench: --trace-point is not supported");
+}
+
 TEST(CliParseTest, FlagsAFixedBenchReadsAreAccepted) {
     // Returns: a fixed bench reads every one of these.
     reject({"--threads", "2", "--seed", "7", "--txs", "300", "--no-json"});
+}
+
+TEST(CliDeathTest, SyntheticBenchRejectsSeedAndTxs) {
+    const auto reject_synthetic = [](std::vector<const char*> argv) {
+        reject_run_and_capture_flags(parse(std::move(argv)), "synthetic_bench",
+                                     /*synthetic=*/true);
+    };
+    EXPECT_EXIT(reject_synthetic({"--seed", "5"}), ::testing::ExitedWithCode(2),
+                "synthetic_bench: --seed is not supported");
+    EXPECT_EXIT(reject_synthetic({"--txs", "300"}), ::testing::ExitedWithCode(2),
+                "synthetic_bench: --txs is not supported");
+    // Returns: the flags a synthetic bench does read.
+    reject_synthetic({"--threads", "2", "--json", "x.json"});
+}
+
+// -- --trace-point needs a capture to select --------------------------------
+
+TEST(CliDeathTest, TracePointWithoutCaptureRejected) {
+    EXPECT_EXIT(parse({"--trace-point", "1"}), ::testing::ExitedWithCode(2),
+                "--trace-point: needs --trace or --timeseries");
+}
+
+TEST(CliParseTest, TracePointParsesWithACapture) {
+    EXPECT_FALSE(parse({"--trace", "t.json"}).trace_point.has_value());
+    EXPECT_EQ(parse({"--timeseries", "ts.jsonl", "--trace-point", "3"}).trace_point,
+              std::size_t{3});
+}
+
+// -- write_output_file: the one writer of bench outputs ----------------------
+
+TEST(CliDeathTest, UnwritableOutputPathRejected) {
+    EXPECT_EXIT(write_output_file("/nonexistent/dir/x.json", "{}\n"),
+                ::testing::ExitedWithCode(2),
+                "cannot write output file /nonexistent/dir/x.json");
+}
+
+TEST(CliParseTest, WriteOutputFileWritesContents) {
+    const std::string path = ::testing::TempDir() + "fl_cli_output.json";
+    write_output_file(path, "{\"ok\":true}\n");
+    std::ifstream in(path);
+    const std::string contents((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+    EXPECT_EQ(contents, "{\"ok\":true}\n");
+    std::remove(path.c_str());
 }
 
 }  // namespace

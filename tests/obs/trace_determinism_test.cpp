@@ -137,17 +137,14 @@ TEST(TraceDeterminismTest, InstrumentationDoesNotPerturbSweepResults) {
     EXPECT_EQ(plain_os.str(), traced_os.str());
 }
 
-TEST(TraceDeterminismTest, OutOfRangeTracePointFallsBackToZero) {
+TEST(TraceDeterminismDeathTest, OutOfRangeTracePointRejected) {
     auto sweep = tiny_sweep(1);
     SweepCli cli = capture_cli();
     cli.trace_point = 99;
     TraceCapture capture;
     std::ostringstream status;
-    arm_trace_capture(sweep, cli, capture, status);
-    EXPECT_NE(status.str().find("WARNING"), std::string::npos);
-    ASSERT_NE(sweep.points[0].spec.instrument, nullptr);
-    (void)run_sweep(sweep);
-    EXPECT_FALSE(capture.sink.empty());
+    EXPECT_EXIT(arm_trace_capture(sweep, cli, capture, status),
+                ::testing::ExitedWithCode(2), "--trace-point 99 out of range \\(6 points\\)");
 }
 
 TEST(TraceDeterminismTest, NoFlagsMeansNoInstrumentation) {
